@@ -85,7 +85,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         SessionFeed,
     )
     from repro.server.loadgen import render_session_chunks
-    from repro.stream.workload import percentile
+    from repro.server.metrics import percentile
 
     context = ServeContext.from_scenario(
         args.scenario,

@@ -86,8 +86,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     from repro.selection import kernels
     from repro.selection.localization import PathLocalizer
     from repro.server import ServeContext
-    from repro.stream.service import synthetic_session_records
-    from repro.stream.workload import chunked
+    from repro.stream.service import chunked, synthetic_session_records
 
     context = ServeContext.from_scenario(
         args.scenario, instances=args.instances, buffer_width=args.buffer

@@ -1,19 +1,21 @@
 """Networked debug-service benchmark -- writes ``BENCH_serve.json``.
 
-Boots an in-process :class:`~repro.server.server.ServerThread`, runs
-the in-process ``run_load_test`` as the transport-free baseline, then
-replays the same seeded sessions over the wire with
-:func:`repro.server.loadgen.run_network_load_test` -- the two share
-one session driver, so the throughput ratio isolates the cost of the
-wire (framing, TCP, shard hand-off).  Records end-to-end records/sec
-plus p50/p95/p99 feed latency for both paths.
+Runs one load test (:func:`repro.server.loadgen.run_load_test`)
+against both shells of the same session core: first a
+:class:`~repro.server.core.SessionHost` in this process (the
+transport-free leg), then a :class:`~repro.server.server.ServerThread`
+over TCP.  Both legs ingest the same seeded trace text through the
+same core and client code, so the throughput ratio isolates the cost
+of the wire (framing, TCP, the event loop and lane hand-off).  Records
+end-to-end records/sec plus p50/p95/p99 feed latency for both legs.
 
 Gates (CI smoke):
 
-* zero protocol errors and zero failed sessions over the wire,
+* zero protocol errors and zero failed sessions on either leg,
 * networked throughput within ``--max-wire-slowdown`` of in-process,
 * absolute throughput floor via ``--min-throughput`` and, against a
-  committed baseline, ``--check-against``/``--max-slowdown``.
+  committed baseline, ``--check-against``/``--max-slowdown`` -- applied
+  to each leg against that leg's baseline records/sec.
 
 Stdlib only::
 
@@ -61,8 +63,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--max-wire-slowdown", type=float, default=3.0,
         help="fail when networked throughput falls below in-process "
-        "divided by this factor (measures ~1.2-1.4x on the default "
-        "workload; headroom covers noisy shared runners)",
+        "divided by this factor (measured 2.2-2.7x on the default "
+        "workload on a shared 2-CPU host, where the load generator's "
+        "threads share the server's GIL)",
     )
     parser.add_argument(
         "--check-against", default=None,
@@ -70,8 +73,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--max-slowdown", type=float, default=20.0,
-        help="fail when networked records/s falls below baseline "
-        "divided by this factor",
+        help="fail when either leg's records/s falls below its "
+        "baseline divided by this factor",
     )
     args = parser.parse_args(argv)
 
@@ -80,11 +83,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ServeContext,
         ServerConfig,
         ServerThread,
+        SessionHost,
+        run_load_test,
     )
-    from repro.server.loadgen import run_network_load_test
-    from repro.stream.service import run_load_test
-    from repro.stream.session import SessionLimits
-    from repro.stream.workload import percentile
 
     context = ServeContext.from_scenario(
         args.scenario,
@@ -92,55 +93,48 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         buffer_width=args.buffer,
         mode=args.mode,
     )
-
-    # -- in-process baseline (no wire) ---------------------------------
-    in_process = run_load_test(
-        context.interleaved,
-        context.traced,
-        sessions=args.sessions,
-        workers=max(args.threads, 1),
-        chunk_size=args.chunk,
-        seed=args.seed,
-        mode=args.mode,
-        limits=SessionLimits(max_sessions=args.sessions),
+    config = ServerConfig(
+        shards=args.shards, max_sessions=args.sessions + 4
     )
 
-    # -- the same sessions over the wire -------------------------------
-    registry = MetricsRegistry()
-    thread = ServerThread(
-        context,
-        ServerConfig(
-            shards=args.shards, max_sessions=args.sessions + 4
-        ),
-        registry,
-    )
-    host, port = thread.start()
-    try:
-        networked = run_network_load_test(
-            host,
-            port,
+    def leg(target, processes=0):
+        return run_load_test(
+            target,
             context,
             sessions=args.sessions,
-            processes=args.processes,
+            processes=processes,
             threads=args.threads,
             chunk_records=args.chunk,
             seed=args.seed,
             mode=args.mode,
         )
+
+    # -- in-process shell (no wire) ------------------------------------
+    # an untimed first pass fills the process-wide step memo, so
+    # neither timed leg pays for the other's first use of it
+    leg(SessionHost(context, config))
+    in_process = leg(SessionHost(context, config))
+
+    # -- the same sessions over the wire -------------------------------
+    registry = MetricsRegistry()
+    thread = ServerThread(context, config, registry)
+    host, port = thread.start()
+    try:
+        networked = leg((host, port), args.processes)
         metrics = registry.snapshot()
     finally:
         thread.stop()
 
-    local_latencies = sorted(
-        latency
-        for outcome in in_process.outcomes
-        for latency in outcome.feed_latencies_s
-    )
-    wire = networked.as_dict()
-    # the per-session fractions array is diagnostic noise in a
-    # committed baseline (it bloats every diff); the aggregate
-    # percentiles carry the regression signal
-    wire.pop("fractions", None)
+    legs = {
+        "in_process": in_process.as_dict(),
+        "networked": networked.as_dict(),
+    }
+    for summary in legs.values():
+        # the per-session fractions array is diagnostic noise in a
+        # committed baseline (it bloats every diff); the aggregate
+        # percentiles carry the regression signal
+        summary.pop("fractions", None)
+    local, wire = legs["in_process"], legs["networked"]
     protocol_errors = metrics["counters"]["protocol_errors_total"]
     payload = {
         "scenario": args.scenario,
@@ -149,23 +143,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "shards": args.shards,
         "sessions": args.sessions,
         "chunk_records": args.chunk,
-        "in_process": {
-            "records_per_s": round(in_process.records_per_s, 3),
-            "wall_s": round(in_process.wall_s, 6),
-            "p50_feed_latency_s": round(
-                percentile(local_latencies, 0.50), 6
-            ),
-            "p95_feed_latency_s": round(
-                in_process.p95_feed_latency_s, 6
-            ),
-            "p99_feed_latency_s": round(
-                percentile(local_latencies, 0.99), 6
-            ),
-        },
+        "in_process": local,
         "networked": wire,
         "records_per_s": wire["records_per_s"],
         "wire_slowdown": round(
-            in_process.records_per_s / wire["records_per_s"], 3
+            local["records_per_s"] / wire["records_per_s"], 3
         )
         if wire["records_per_s"]
         else None,
@@ -188,32 +170,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     failures = []
     if protocol_errors:
         failures.append(f"{protocol_errors} protocol error(s) on the wire")
-    if wire["failures"]:
-        failures.append(f"failed sessions: {wire['failures']}")
-    if wire["statuses"] != {"closed": args.sessions}:
-        failures.append(f"unexpected session statuses: {wire['statuses']}")
+    for name, summary in legs.items():
+        if summary["failures"]:
+            failures.append(
+                f"{name} failed sessions: {summary['failures']}"
+            )
+        if summary["statuses"] != {"closed": args.sessions}:
+            failures.append(
+                f"{name} session statuses: {summary['statuses']}"
+            )
     if wire["records_per_s"] < args.min_throughput:
         failures.append(
             f"networked {wire['records_per_s']} records/s below the "
             f"{args.min_throughput} floor"
         )
-    wire_floor = in_process.records_per_s / args.max_wire_slowdown
+    wire_floor = local["records_per_s"] / args.max_wire_slowdown
     if wire["records_per_s"] < wire_floor:
         failures.append(
             f"networked {wire['records_per_s']} records/s below "
             f"1/{args.max_wire_slowdown} of in-process "
-            f"{round(in_process.records_per_s, 3)}"
+            f"{local['records_per_s']}"
         )
     if args.check_against:
         with open(args.check_against, encoding="utf-8") as stream:
             baseline = json.load(stream)
-        floor = baseline["records_per_s"] / args.max_slowdown
-        if wire["records_per_s"] < floor:
-            failures.append(
-                f"networked {wire['records_per_s']} records/s below "
-                f"1/{args.max_slowdown} of the baseline "
-                f"{baseline['records_per_s']}"
-            )
+        for name, summary in legs.items():
+            reference = baseline[name]["records_per_s"]
+            if summary["records_per_s"] < reference / args.max_slowdown:
+                failures.append(
+                    f"{name} {summary['records_per_s']} records/s below "
+                    f"1/{args.max_slowdown} of the baseline {reference}"
+                )
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -3,7 +3,7 @@
 Measures the two costs :mod:`repro.store` adds to the debug service:
 
 * **feed overhead** -- the same seeded networked load
-  (:func:`repro.server.loadgen.run_network_load_test`) runs against an
+  (:func:`repro.server.loadgen.run_load_test`) runs against an
   in-memory server and against a durable one (write-ahead log with
   ``--fsync interval``, the group-commit default); the headline gate
   is the ratio of p50 feed latencies (``--max-overhead``, default
@@ -92,10 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ServerConfig,
         ServerThread,
     )
-    from repro.server.loadgen import (
-        render_session_chunks,
-        run_network_load_test,
-    )
+    from repro.server.loadgen import render_session_chunks, run_load_test
 
     context = ServeContext.from_scenario(
         args.scenario,
@@ -110,9 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         thread = ServerThread(context, config, registry)
         host, port = thread.start()
         try:
-            report = run_network_load_test(
-                host,
-                port,
+            report = run_load_test(
+                (host, port),
                 context,
                 sessions=args.sessions,
                 processes=0,

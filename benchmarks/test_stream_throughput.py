@@ -1,37 +1,42 @@
 """Streaming service throughput: many concurrent localization sessions.
 
 Asserts the qualitative shape the paper's debug loop relies on: the
-service sustains the synthetic fleet, every session completes cleanly,
-and the streamed results are identical to single-session (and batch)
-analysis -- scheduling never leaks between sessions.
+service's session core, driven in process, sustains the synthetic
+fleet, every session completes cleanly, and the streamed results are
+identical whatever the concurrency -- scheduling never leaks between
+sessions.
 """
 
 from __future__ import annotations
 
-from repro.experiments.common import scenario_selection
-from repro.stream import run_load_test
-from repro.stream.session import SessionLimits
+from repro.server import (
+    ServeContext,
+    ServerConfig,
+    SessionHost,
+    run_load_test,
+)
 
 SESSIONS = 16
 CHUNK = 8
 
 
 def test_stream_throughput(once):
-    bundle = scenario_selection(1)
-    interleaved = bundle.scenario.interleaved()
-    traced = bundle.with_packing.traced
+    context = ServeContext.from_scenario(1)
 
-    report = once(
-        run_load_test,
-        interleaved,
-        traced,
-        sessions=SESSIONS,
-        workers=4,
-        chunk_size=CHUNK,
-        limits=SessionLimits(max_sessions=SESSIONS),
-    )
+    def run(threads):
+        host = SessionHost(context, ServerConfig(max_sessions=SESSIONS))
+        return run_load_test(
+            host,
+            context,
+            sessions=SESSIONS,
+            threads=threads,
+            chunk_records=CHUNK,
+        )
+
+    report = once(run, 4)
 
     assert len(report.outcomes) == SESSIONS
+    assert not report.failures
     assert {o.status for o in report.outcomes} == {"closed"}
     assert report.total_records > 0
     assert report.records_per_s > 0
@@ -39,14 +44,7 @@ def test_stream_throughput(once):
 
     # concurrency never changes the analysis: a serial re-run of each
     # session produces the same localization fractions
-    serial = run_load_test(
-        interleaved,
-        traced,
-        sessions=SESSIONS,
-        workers=1,
-        chunk_size=CHUNK,
-        limits=SessionLimits(max_sessions=SESSIONS),
-    )
+    serial = run(1)
     assert [o.result for o in serial.outcomes] == [
         o.result for o in report.outcomes
     ]

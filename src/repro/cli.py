@@ -38,15 +38,17 @@ Commands
     Follow a trace file incrementally and watch the localization
     fraction tighten as records arrive.
 ``serve-demo``
-    Drive N concurrent synthetic debug sessions through the streaming
-    service and print throughput plus telemetry.
+    Drive N concurrent synthetic debug sessions through the debug
+    service's session core in this process (no sockets) and print
+    throughput plus telemetry.
 ``serve``
     Run the networked debug service: an asyncio TCP server speaking
     the length-prefixed binary wire protocol, with sharded sessions,
     admission control, and an optional HTTP metrics port.
 ``loadgen``
     Replay simulator-produced trace files against a running ``serve``
-    instance from worker processes and report throughput/latency.
+    instance from worker processes and report throughput/latency (the
+    same load test ``serve-demo`` runs in process).
 ``store``
     Inspect, verify, or compact a ``serve --data-dir`` data directory
     (write-ahead log segments and frontier snapshots) offline.
@@ -432,40 +434,40 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
     import json
 
-    from repro.experiments.common import scenario_selection
     from repro.runtime.telemetry import recent_runs
-    from repro.stream import run_load_test
-    from repro.stream.session import SessionLimits
-
-    bundle = scenario_selection(
-        args.scenario, instances=args.instances, buffer_width=args.buffer
+    from repro.server import (
+        ServeContext,
+        ServerConfig,
+        SessionHost,
+        run_load_test,
     )
-    sc = bundle.scenario
+
+    context = ServeContext.from_scenario(
+        args.scenario,
+        instances=args.instances,
+        buffer_width=args.buffer,
+        mode=args.mode,
+        max_frontier=args.max_frontier,
+    )
+    host = SessionHost(context, ServerConfig(max_sessions=args.sessions))
     report = run_load_test(
-        sc.interleaved(),
-        bundle.with_packing.traced,
+        host,
+        context,
         sessions=args.sessions,
-        workers=args.workers,
-        chunk_size=args.chunk,
+        threads=args.workers,
+        chunk_records=args.chunk,
         seed=args.seed,
         mode=args.mode,
-        limits=SessionLimits(
-            max_sessions=args.sessions, max_frontier=args.max_frontier
-        ),
     )
-    summary = report.as_dict()
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    print(f"{sc.name}: {report.sessions} concurrent sessions over "
-          f"{report.workers} workers (mode={report.mode}, "
-          f"chunk={report.chunk_size})")
-    print(f"  records fed:      {report.total_records}")
-    print(f"  wall time:        {report.wall_s:.3f}s")
-    print(f"  throughput:       {report.records_per_s:.0f} records/s")
-    print(f"  p95 feed latency: {report.p95_feed_latency_s * 1e3:.3f}ms")
-    print(f"  max feed latency: {report.max_feed_latency_s * 1e3:.3f}ms")
-    print(f"  session statuses: {summary['statuses']}")
+        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+        return 1 if report.failures else 0
+    _print_load_report(
+        report,
+        f"{context.name}: {report.sessions} concurrent sessions over "
+        f"{report.workers} workers (mode={report.mode}, "
+        f"chunk={report.chunk_size})",
+    )
     runs = recent_runs(name_prefix="stream:")
     print(f"telemetry: {len(runs)} session record(s)")
     for record in runs[-args.sessions:][:5]:
@@ -473,7 +475,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
               f"records={record.extra['records']} "
               f"status={record.extra['status']} "
               f"fraction={record.extra['fraction']:.4%}")
-    return 0
+    return 1 if report.failures else 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -600,15 +602,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
 
-    from repro.server import ServeContext
-    from repro.server.loadgen import run_network_load_test
+    from repro.server import ServeContext, run_load_test
 
     context = ServeContext.from_scenario(
         args.scenario, instances=args.instances, buffer_width=args.buffer
     )
-    report = run_network_load_test(
-        args.host,
-        args.port,
+    report = run_load_test(
+        (args.host, args.port),
         context,
         sessions=args.sessions,
         processes=args.processes,
@@ -617,26 +617,32 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         seed=args.seed,
         mode=args.mode,
     )
-    summary = report.as_dict()
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
         return 1 if report.failures else 0
-    inner = report.report
-    print(f"{context.name}: {inner.sessions} networked session(s) "
-          f"against {args.host}:{args.port} "
-          f"({args.processes} process(es) x {args.threads} thread(s))")
-    print(f"  records fed:      {inner.total_records}")
-    print(f"  wall time:        {inner.wall_s:.3f}s")
-    print(f"  throughput:       {inner.records_per_s:.0f} records/s")
-    print(f"  p50 feed latency: {report.p50_feed_latency_s * 1e3:.3f}ms")
-    print(f"  p95 feed latency: {inner.p95_feed_latency_s * 1e3:.3f}ms")
-    print(f"  p99 feed latency: {report.p99_feed_latency_s * 1e3:.3f}ms")
+    _print_load_report(
+        report,
+        f"{context.name}: {report.sessions} networked session(s) "
+        f"against {args.host}:{args.port} "
+        f"({args.processes} process(es) x {args.threads} thread(s))",
+    )
+    return 1 if report.failures else 0
+
+
+def _print_load_report(report, title: str) -> None:
+    """The human-readable form of a :class:`LoadTestReport`."""
+    print(title)
+    print(f"  records fed:      {report.total_records}")
+    print(f"  wall time:        {report.wall_s:.3f}s")
+    print(f"  throughput:       {report.records_per_s:.0f} records/s")
+    for name in ("p50", "p95", "p99", "max"):
+        latency = getattr(report, f"{name}_feed_latency_s")
+        print(f"  {name} feed latency: {latency * 1e3:.3f}ms")
     print(f"  retries:          {report.retries} "
           f"(recoveries: {report.recoveries})")
-    print(f"  session statuses: {summary['statuses']}")
+    print(f"  session statuses: {report.as_dict()['statuses']}")
     for failure in report.failures:
         print(f"  FAILED {failure}", file=sys.stderr)
-    return 1 if report.failures else 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

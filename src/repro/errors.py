@@ -65,6 +65,12 @@ class StreamError(ReproError):
     session table full, service already shut down, ...)."""
 
 
+class SessionTableFullError(StreamError):
+    """A session manager refused an open or adopt because its table is
+    at ``max_sessions`` -- back-pressure a client may retry, unlike a
+    taken session id."""
+
+
 class FrontierOverflowError(StreamError):
     """An incremental localizer's DP frontier outgrew its configured
     bound; the session must fall back to batch analysis or widen the

@@ -58,6 +58,7 @@ import os
 import threading
 from array import array
 from collections import OrderedDict
+from concurrent.futures import Future
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
@@ -577,6 +578,10 @@ class TableRegistry:
             )
         self._lock = threading.Lock()
         self._tables: "OrderedDict[str, CompiledTables]" = OrderedDict()
+        #: Builds in flight, by fingerprint: a cold caller publishes one
+        #: here under the lock, so concurrent cold callers wait for its
+        #: tables instead of each compiling a private copy.
+        self._building: Dict[str, "Future[CompiledTables]"] = {}
         self._max_tables = max_tables
         self._hits = 0
         self._misses = 0
@@ -586,8 +591,14 @@ class TableRegistry:
         self, interleaved: InterleavedFlow, visible_mid: Sequence[bool]
     ) -> CompiledTables:
         """The compiled tables for ``(interleaved, visible set)`` --
-        cached by content hash, built (and published) on first use."""
+        cached by content hash, built (and published) on first use.
+
+        Each fingerprint is compiled once: callers arriving while it
+        builds block on the in-flight build (counted as hits, and as
+        ``localize_table_waits``) and get the same object; a build
+        that raises wakes them with its error."""
         key = table_fingerprint(interleaved, visible_mid)
+        owner = False
         with self._lock:
             cached = self._tables.get(key)
             if cached is not None:
@@ -595,20 +606,32 @@ class TableRegistry:
                 self._hits += 1
                 perf.add("localize_table_hits")
                 return cached
-            self._misses += 1
+            build = self._building.get(key)
+            if build is not None:
+                self._hits += 1
+            else:
+                build = self._building[key] = Future()
+                self._misses += 1
+                owner = True
+        if not owner:
+            perf.add("localize_table_waits")
+            return build.result()
         perf.add("localize_table_misses")
-        with perf.timed("localize_compile"):
-            built = CompiledTables(interleaved, visible_mid)
+        try:
+            with perf.timed("localize_compile"):
+                built = CompiledTables(interleaved, visible_mid)
+        except BaseException as exc:
+            with self._lock:
+                del self._building[key]
+            build.set_exception(exc)
+            raise
         with self._lock:
-            # a racing builder may have published first; reuse its
-            # copy so every caller shares one object
-            cached = self._tables.get(key)
-            if cached is not None:
-                return cached
+            del self._building[key]
             self._tables[key] = built
             while len(self._tables) > self._max_tables:
                 self._tables.popitem(last=False)
                 self._evictions += 1
+        build.set_result(built)
         return built
 
     def __len__(self) -> int:

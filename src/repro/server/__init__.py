@@ -11,34 +11,40 @@ The pieces:
 * :mod:`repro.server.protocol` -- the length-prefixed, versioned,
   CRC-validated binary wire format (the CRC machinery is
   :mod:`repro.compress.framing`'s, shared with on-chip trace frames).
-* :mod:`repro.server.server` -- the asyncio TCP server: sessions are
-  routed by consistent hash onto worker shards, admission control
-  answers overload with structured ``RETRY_LATER`` (never a deadlock,
-  never a dropped accepted session), idle sessions are evicted, and
-  SIGINT/SIGTERM drain gracefully.
+* :mod:`repro.server.core` -- the one session core,
+  :class:`SessionHost`: request payload in, reply payload out.  It
+  routes sessions by consistent hash onto shards and owns ingest,
+  localization, idempotent chunk cursors, durability, quarantine and
+  recovery; it knows nothing of sockets.
+* :mod:`repro.server.server` -- the asyncio TCP shell around the core:
+  framing, admission control that answers overload with structured
+  ``RETRY_LATER`` (never a deadlock, never a dropped accepted
+  session), deadlines, one lane thread per shard, idle sweeps, and a
+  graceful SIGINT/SIGTERM drain.
 * :mod:`repro.server.client` -- the synchronous client: timeouts,
   retry with exponential backoff and jitter, and a streaming feed that
-  replays its history if the server loses the session.
+  replays its history if the server loses the session.  Its
+  :class:`InProcessClient` is the in-process shell: the same client,
+  calling the core directly.
 * :mod:`repro.server.metrics` -- the pull-based metrics plane served
   on the ``STATS`` frame and over HTTP.
-* :mod:`repro.server.loadgen` -- the multi-process load generator
-  replaying simulator-produced trace files.
+* :mod:`repro.server.loadgen` -- the load generator replaying
+  simulator-produced trace files against either shell.
 
-``repro serve`` and ``repro loadgen`` are the CLI front ends.
+``repro serve``, ``repro loadgen`` and ``repro serve-demo`` (the
+in-process shell) are the CLI front ends.
 """
 
 from repro.server.client import (
     CircuitBreaker,
     DebugClient,
     FeedReply,
+    InProcessClient,
     RetryPolicy,
     SessionFeed,
 )
-from repro.server.loadgen import (
-    NetworkLoadReport,
-    NetworkTransport,
-    run_network_load_test,
-)
+from repro.server.core import SessionHost
+from repro.server.loadgen import LoadTestReport, run_load_test
 from repro.server.metrics import (
     Counter,
     Gauge,
@@ -66,15 +72,16 @@ __all__ = [
     "FrameAssembler",
     "Gauge",
     "Histogram",
+    "InProcessClient",
+    "LoadTestReport",
     "MetricsRegistry",
-    "NetworkLoadReport",
-    "NetworkTransport",
     "RetryPolicy",
     "ServeContext",
     "ServerConfig",
     "ServerThread",
     "SessionFeed",
+    "SessionHost",
     "WireFrame",
     "encode_frame",
-    "run_network_load_test",
+    "run_load_test",
 ]

@@ -22,7 +22,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from repro.errors import (
     ProtocolError,
@@ -31,6 +31,9 @@ from repro.errors import (
 )
 from repro.selection.localization import LocalizationResult
 from repro.server import protocol
+
+if TYPE_CHECKING:
+    from repro.server.core import SessionHost
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,9 @@ class CloseReply:
 
 
 class DebugClient:
-    """One connection to a :class:`~repro.server.server.DebugServer`.
+    """One connection to a :class:`~repro.server.server.DebugServer`
+    (:class:`InProcessClient` is the same client over a
+    :class:`~repro.server.core.SessionHost` in this process).
 
     Thread-compatible, not thread-safe: share sessions across threads
     by giving each thread its own client.
@@ -469,6 +474,32 @@ class DebugClient:
     def ping(self) -> Dict[str, object]:
         frame_type, body = self.request(protocol.PING)
         return self._checked(frame_type, body)
+
+
+class InProcessClient(DebugClient):
+    """The in-process shell: a :class:`DebugClient` whose round trip is
+    a direct :meth:`~repro.server.core.SessionHost.call`.
+
+    No socket, no frame -- but the retry policy, :class:`SessionFeed`
+    recovery and reply decoding are the networked client's, so a
+    workload gets byte-identical replies whichever shell hosts it.
+    """
+
+    def __init__(
+        self,
+        core: "SessionHost",
+        policy: Optional[RetryPolicy] = None,
+        rng: Optional[random.Random] = None,
+    ) -> None:
+        super().__init__("in-process", 0, policy=policy, rng=rng)
+        self.core = core
+
+    def _roundtrip(
+        self, frame_type: int, payload: bytes
+    ) -> protocol.WireFrame:
+        self._seq = (self._seq + 1) & 0xFFFFFFFF
+        reply_type, reply = self.core.call(frame_type, payload)
+        return protocol.WireFrame(reply_type, self._seq, reply)
 
 
 class SessionFeed:

@@ -1,24 +1,18 @@
-"""Multi-process load generator for the debug service.
+"""The load generator: one load test for either shell of the service.
 
-Replays simulator-produced trace files against a running
-:class:`~repro.server.server.DebugServer` and reports throughput and
-latency in the **same shapes** as the in-process
-``repro.stream.service.run_load_test`` -- both delegate to
-:func:`repro.stream.workload.drive_session`, so their numbers are
-directly comparable (``benchmarks/server_bench.py`` gates on exactly
-that ratio).
+:func:`run_load_test` replays simulator-produced trace files, one
+:class:`~repro.server.client.SessionFeed` per session, against a running
+server's ``(host, port)`` -- over TCP, from threads or ``spawn``
+worker processes -- or against a :class:`~repro.server.core.
+SessionHost` in this process through :class:`~repro.server.client.
+InProcessClient`.  Both legs run the same feed, retry and reply code
+against the same core, so their numbers differ only by framing, TCP
+and the event loop (``benchmarks/server_bench.py`` gates both).
 
-The workload is faithful to the paper's setting: each session is one
-seeded failing run of the simulator, projected onto the traced message
-set, rendered to the Figure-4 trace-file text, and streamed over the
-wire in chunks cut at record-line boundaries.  Chunks are pre-rendered
-in the parent so worker processes need nothing but bytes; workers use
-the ``spawn`` start method (the parent often hosts an in-process
-:class:`~repro.server.server.ServerThread` whose event loop must not
-be forked).
-
-``processes=0`` runs every session inline on threads in the calling
-process -- the deterministic path the tests use.
+Each session is one seeded failing run of the simulator, projected
+onto the traced message set, rendered to the Figure-4 trace-file text
+and cut into chunks at record-line boundaries.  Chunks are rendered in
+the parent, so worker processes need nothing but bytes.
 """
 
 from __future__ import annotations
@@ -28,67 +22,24 @@ import multiprocessing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
 from repro.selection.localization import LocalizationResult
-from repro.server.client import DebugClient, RetryPolicy, SessionFeed
-from repro.sim.tracefile import write_trace_file
-from repro.stream.workload import (
-    LoadTestReport,
-    SessionOutcome,
-    SessionTransport,
-    build_report,
-    drive_session,
-    percentile,
+from repro.server.client import (
+    DebugClient,
+    InProcessClient,
+    RetryPolicy,
+    SessionFeed,
 )
+from repro.server.core import SessionHost
+from repro.server.metrics import percentile
+from repro.sim.tracefile import write_trace_file
 
 #: One pre-rendered session workload: ``(session_id, chunk bytes...)``.
 SessionJob = Tuple[str, Tuple[bytes, ...]]
-
-
-class NetworkTransport(SessionTransport):
-    """Adapts :class:`SessionFeed` to the workload driver's transport
-    surface.  Chunks are raw bytes; recovery (reopen + replay after a
-    server restart) is inherited from the feed, so a driven session
-    survives the server dying mid-stream."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        policy: Optional[RetryPolicy] = None,
-        rng: Optional[object] = None,
-    ) -> None:
-        self.client = DebugClient(host, port, policy=policy, rng=rng)  # type: ignore[arg-type]
-        self._feeds: Dict[str, SessionFeed] = {}
-
-    def open(
-        self, session_id: Optional[str] = None, mode: Optional[str] = None
-    ) -> str:
-        feed = SessionFeed(self.client, session_id=session_id, mode=mode)
-        self._feeds[feed.session_id] = feed
-        return feed.session_id
-
-    def feed(self, session_id: str, chunk: object) -> int:
-        return self._feeds[session_id].feed(bytes(chunk)).consumed  # type: ignore[arg-type]
-
-    def snapshot(self, session_id: str) -> LocalizationResult:
-        return self._feeds[session_id].snapshot().result
-
-    def close(self, session_id: str) -> str:
-        return self._feeds.pop(session_id).close().status
-
-    @property
-    def retries(self) -> int:
-        return self.client.retries
-
-    @property
-    def recoveries(self) -> int:
-        return sum(f.recoveries for f in self._feeds.values())
-
-    def disconnect(self) -> None:
-        self.client.close()
+#: Where sessions go: a server's ``(host, port)`` or a local core.
+Target = Union[Tuple[str, int], SessionHost]
 
 
 # ----------------------------------------------------------------------
@@ -149,50 +100,75 @@ def build_session_jobs(
 
 
 # ----------------------------------------------------------------------
-# worker (runs in a spawned process, or inline when processes=0)
+# driving (runs in a spawned process, or inline when processes=0)
+@dataclass(frozen=True)
+class SessionOutcome:
+    """What one driven session produced (``failure`` set, and the
+    localization fields empty, when it could not complete)."""
+
+    session_id: str
+    result: Optional[LocalizationResult]
+    status: str
+    records: int
+    feed_latencies_s: Tuple[float, ...]
+    retries: int
+    recoveries: int
+    failure: Optional[str] = None
+
+
+def _drive_session(
+    target: Target, job: SessionJob, mode: str, policy: RetryPolicy
+) -> SessionOutcome:
+    """Open, feed every chunk in order, snapshot, close -- with per-feed
+    wall time measured around each :meth:`SessionFeed.feed`."""
+    session_id, chunks = job
+    if isinstance(target, SessionHost):
+        client: DebugClient = InProcessClient(target, policy=policy)
+    else:
+        client = DebugClient(target[0], target[1], policy=policy)
+    feed: Optional[SessionFeed] = None
+    latencies: List[float] = []
+    records = 0
+    try:
+        feed = SessionFeed(client, session_id=session_id, mode=mode)
+        try:
+            for chunk in chunks:
+                started = perf_counter()
+                records += feed.feed(chunk).consumed
+                latencies.append(perf_counter() - started)
+            result = feed.snapshot().result
+        finally:
+            status = feed.close().status
+        return SessionOutcome(
+            session_id, result, status, records, tuple(latencies),
+            client.retries, feed.recoveries,
+        )
+    except ReproError as exc:
+        return SessionOutcome(
+            session_id, None, "failed", records, tuple(latencies),
+            client.retries, feed.recoveries if feed is not None else 0,
+            failure=f"{type(exc).__name__}: {exc}",
+        )
+    finally:
+        client.close()
+
+
 def _drive_jobs(
-    host: str,
-    port: int,
+    target: Target,
     jobs: Sequence[SessionJob],
     mode: str,
     threads: int,
     policy: RetryPolicy,
-) -> List[Dict[str, object]]:
-    """Drive *jobs* on a thread pool, one transport per thread-session
-    (clients are not thread-safe).  Returns plain dicts so the result
-    crosses process boundaries without pickling repro objects."""
-
-    def one(job: SessionJob) -> Dict[str, object]:
-        session_id, chunks = job
-        transport = NetworkTransport(host, port, policy=policy)
-        try:
-            outcome = drive_session(
-                transport, chunks, session_id=session_id, mode=mode
-            )
-            return {
-                "session_id": outcome.session_id,
-                "consistent_paths": outcome.result.consistent_paths,
-                "total_paths": outcome.result.total_paths,
-                "status": outcome.status,
-                "records": outcome.records,
-                "latencies": list(outcome.feed_latencies_s),
-                "retries": transport.retries,
-                "recoveries": transport.recoveries,
-            }
-        except ReproError as exc:
-            return {
-                "session_id": session_id,
-                "failure": f"{type(exc).__name__}: {exc}",
-                "retries": transport.retries,
-                "recoveries": transport.recoveries,
-            }
-        finally:
-            transport.disconnect()
-
+) -> List[SessionOutcome]:
+    """Drive *jobs* on up to *threads* threads, one client per session
+    (clients are not thread-safe)."""
     if threads <= 1 or len(jobs) <= 1:
-        return [one(job) for job in jobs]
+        return [_drive_session(target, job, mode, policy) for job in jobs]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, jobs))
+        return list(
+            pool.map(lambda job: _drive_session(target, job, mode, policy),
+                     jobs)
+        )
 
 
 def _warm_worker(_index: int) -> int:
@@ -203,47 +179,86 @@ def _warm_worker(_index: int) -> int:
     return _index
 
 
+# ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class NetworkLoadReport:
-    """A :class:`LoadTestReport` plus wire-level accounting."""
+class LoadTestReport:
+    """Aggregate numbers from one multi-session load test.
 
-    report: LoadTestReport
+    ``sessions`` counts the sessions that completed; the others are
+    listed in ``failures``."""
+
+    sessions: int
+    workers: int
+    chunk_size: int
+    mode: str
+    total_records: int
+    wall_s: float
+    records_per_s: float
+    p50_feed_latency_s: float
+    p95_feed_latency_s: float
+    p99_feed_latency_s: float
+    max_feed_latency_s: float
     retries: int
     recoveries: int
     failures: Tuple[str, ...]
-    p50_feed_latency_s: float
-    p99_feed_latency_s: float
+    outcomes: Tuple[SessionOutcome, ...]
 
     def as_dict(self) -> Dict[str, object]:
-        payload = self.report.as_dict()
-        payload["retries"] = self.retries
-        payload["recoveries"] = self.recoveries
-        payload["failures"] = list(self.failures)
-        payload["p50_feed_latency_s"] = round(self.p50_feed_latency_s, 6)
-        payload["p99_feed_latency_s"] = round(self.p99_feed_latency_s, 6)
-        return payload
+        """JSON-ready summary (per-session payloads reduced to the
+        numbers dashboards plot)."""
+        return {
+            "sessions": self.sessions,
+            "workers": self.workers,
+            "chunk_size": self.chunk_size,
+            "mode": self.mode,
+            "total_records": self.total_records,
+            "wall_s": round(self.wall_s, 6),
+            "records_per_s": round(self.records_per_s, 3),
+            "p50_feed_latency_s": round(self.p50_feed_latency_s, 6),
+            "p95_feed_latency_s": round(self.p95_feed_latency_s, 6),
+            "p99_feed_latency_s": round(self.p99_feed_latency_s, 6),
+            "max_feed_latency_s": round(self.max_feed_latency_s, 6),
+            "retries": self.retries,
+            "recoveries": self.recoveries,
+            "failures": list(self.failures),
+            "statuses": {
+                status: sum(1 for o in self.outcomes if o.status == status)
+                for status in sorted({o.status for o in self.outcomes})
+            },
+            "fractions": [
+                round(o.result.fraction, 8) for o in self.outcomes
+            ],
+        }
 
 
-def run_network_load_test(
-    host: str,
-    port: int,
+def run_load_test(
+    target: Target,
     context: "object",
     sessions: int = 8,
-    processes: int = 2,
+    processes: int = 0,
     threads: int = 2,
     chunk_records: int = 16,
     seed: int = 0,
     mode: str = "prefix",
     policy: Optional[RetryPolicy] = None,
     scenario_name: str = "loadgen",
-) -> NetworkLoadReport:
-    """Replay *sessions* simulated trace files against ``host:port``.
+) -> LoadTestReport:
+    """Replay *sessions* simulated trace files against *target*.
 
     Sessions are dealt round-robin over *processes* worker processes
-    (``processes=0`` → inline in this process), each driving up to
-    *threads* sessions concurrently.  The wall clock covers the full
-    networked span, so ``records_per_s`` is end-to-end throughput.
+    (``processes=0`` → this process; required for a
+    :class:`SessionHost` target), each driving up to *threads*
+    sessions concurrently.  The wall clock covers the full span, so
+    ``records_per_s`` is end-to-end throughput.  Localization results
+    depend only on the seeds, never on the shell or the scheduling.
     """
+    if threads < 1:
+        raise ReproError(f"threads must be >= 1, got {threads}")
+    if processes > 0 and isinstance(target, SessionHost):
+        raise ReproError(
+            "an in-process SessionHost cannot be driven from worker "
+            "processes; use processes=0"
+        )
     jobs = build_session_jobs(
         context, sessions, seed, chunk_records, scenario_name
     )
@@ -251,7 +266,7 @@ def run_network_load_test(
         policy = RetryPolicy()
     if processes <= 0:
         started = perf_counter()
-        rows = _drive_jobs(host, port, jobs, mode, threads, policy)
+        rows = _drive_jobs(target, jobs, mode, threads, policy)
         wall_s = perf_counter() - started
     else:
         shares: List[List[SessionJob]] = [[] for _ in range(processes)]
@@ -264,7 +279,7 @@ def run_network_load_test(
             parts = pool.starmap(
                 _drive_jobs,
                 [
-                    (host, port, share, mode, threads, policy)
+                    (target, share, mode, threads, policy)
                     for share in shares
                     if share
                 ],
@@ -272,39 +287,29 @@ def run_network_load_test(
             wall_s = perf_counter() - started
         rows = [row for part in parts for row in part]
 
-    outcomes: List[SessionOutcome] = []
-    failures: List[str] = []
-    retries = 0
-    recoveries = 0
-    for row in rows:
-        retries += int(row.get("retries", 0))  # type: ignore[arg-type]
-        recoveries += int(row.get("recoveries", 0))  # type: ignore[arg-type]
-        if "failure" in row:
-            failures.append(f"{row['session_id']}: {row['failure']}")
-            continue
-        outcomes.append(
-            SessionOutcome(
-                session_id=str(row["session_id"]),
-                result=LocalizationResult(
-                    consistent_paths=int(row["consistent_paths"]),  # type: ignore[arg-type]
-                    total_paths=int(row["total_paths"]),  # type: ignore[arg-type]
-                ),
-                status=str(row["status"]),
-                records=int(row["records"]),  # type: ignore[arg-type]
-                feed_latencies_s=tuple(row["latencies"]),  # type: ignore[arg-type]
-            )
-        )
+    outcomes = tuple(row for row in rows if row.failure is None)
     latencies = sorted(
         latency for o in outcomes for latency in o.feed_latencies_s
     )
-    workers = (processes if processes > 0 else 1) * max(threads, 1)
-    return NetworkLoadReport(
-        report=build_report(
-            outcomes, workers, chunk_records, mode, wall_s
-        ),
-        retries=retries,
-        recoveries=recoveries,
-        failures=tuple(failures),
+    total_records = sum(o.records for o in outcomes)
+    return LoadTestReport(
+        sessions=len(outcomes),
+        workers=(processes if processes > 0 else 1) * threads,
+        chunk_size=chunk_records,
+        mode=mode,
+        total_records=total_records,
+        wall_s=wall_s,
+        records_per_s=total_records / wall_s if wall_s > 0 else 0.0,
         p50_feed_latency_s=percentile(latencies, 0.50),
+        p95_feed_latency_s=percentile(latencies, 0.95),
         p99_feed_latency_s=percentile(latencies, 0.99),
+        max_feed_latency_s=latencies[-1] if latencies else 0.0,
+        retries=sum(row.retries for row in rows),
+        recoveries=sum(row.recoveries for row in rows),
+        failures=tuple(
+            f"{row.session_id}: {row.failure}"
+            for row in rows
+            if row.failure is not None
+        ),
+        outcomes=outcomes,
     )

@@ -20,12 +20,19 @@ exact lifetime count/sum/max), so p50/p95/p99 reflect *recent* latency
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import Callable, Dict, List, Optional
-
-from repro.stream.workload import percentile
+from typing import Callable, Dict, List, Optional, Sequence
 
 Collector = Callable[[], Dict[str, object]]
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending sequence (0 when empty)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
 
 class Counter:

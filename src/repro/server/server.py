@@ -1,404 +1,63 @@
-"""The asyncio debug server: sharded sessions behind the wire protocol.
+"""The asyncio debug server: the TCP shell around the session core.
 
 Architecture::
 
-                    +-- shard 0: queue -> 1-thread executor -> SessionManager
-    TCP conns ------+-- shard 1: queue -> 1-thread executor -> SessionManager
-     (asyncio)      +-- ...          (consistent-hash routed by session id)
+                    +-- lane 0: queue -> 1-thread executor -+
+    TCP conns ------+-- lane 1: queue -> 1-thread executor -+-> SessionHost
+     (asyncio)      +-- ...  (one lane per core shard)      -+   (core.py)
 
-* **Sharding** -- every session id maps onto one shard via a
-  consistent-hash ring (:class:`HashRing`), so all of a session's
-  operations serialize through that shard's single worker thread:
-  per-session ordering holds with zero per-request locking in the
-  server itself (the :class:`~repro.stream.session.SessionManager`'s
-  own locks cover the cross-thread idle sweep).
-* **Admission control** -- three independent limits answer overload
-  with a structured ``RETRY_LATER`` frame instead of stalling or
-  dropping accepted work: a global open-session cap, a per-shard queue
-  depth cap, and a per-connection in-flight cap.  A ``RETRY_LATER``
-  always means the request had no effect.
-* **Idle eviction** -- a sweeper task periodically retires sessions
-  nobody fed (running on each shard's executor, so it serializes with
-  that shard's operations).
-* **Graceful drain** -- SIGINT/SIGTERM stop the accept loop, let every
-  queued operation finish and its response flush, then retire the
-  remaining sessions through their managers (telemetry intact).
-* **Durability** (opt-in via ``ServerConfig.data_dir``) -- each shard
-  owns a :class:`repro.store.SessionStore`: feeds are written to a
-  CRC-framed WAL *before* they are applied (an acked chunk survives a
-  crash), frontier snapshots bound replay, idle eviction spills state
-  instead of discarding it, and startup recovers every session
-  bit-identical to an uninterrupted run.  Without a data directory the
-  server behaves exactly as before.
+:class:`~repro.server.core.SessionHost` owns everything transport-free
+-- routing, sessions, ingest, durability, quarantine, recovery.  This
+module adds only what a network needs:
 
-The metrics plane (:mod:`repro.server.metrics`) is wired in here:
-request/feed counters and latency histograms update on the serving
-path; per-shard manager stats, runtime-cache hit rates, ``repro.perf``
-stage counters, and compressed-transport ratios are sampled at scrape
-time -- over the ``STATS`` frame or the plain-HTTP
-``--metrics-port`` listener.
+* **Framing** -- each connection runs a
+  :class:`~repro.server.protocol.FrameAssembler`; requests are decoded
+  and routed on the event loop, then the core's operation runs (and
+  encodes its reply) on the shard's lane thread, which serializes a
+  session's operations without any per-request lock.
+* **Admission control** -- the core's global open-session cap, a
+  per-shard queue depth cap, a per-connection in-flight cap and the
+  request's propagated deadline each answer overload with a structured
+  ``RETRY_LATER`` frame, which always means the request had no effect.
+* **Idle sweeps and graceful drain** -- a sweeper task retires (or
+  spills) idle sessions on each lane; SIGINT/SIGTERM stop the accept
+  loop, flush every queued operation's response, then checkpoint
+  (durable) or retire the remaining sessions.
+* **Metrics** -- request and feed latency histograms on the serving
+  path; per-shard, cache, ``repro.perf`` and compression figures
+  sampled at scrape time, over the ``STATS`` frame or the plain-HTTP
+  ``--metrics-port`` listener.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import bisect
-import codecs
 import json
 import signal
 import threading
 import time
-import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import perf
-from repro.core.interleave import InterleavedFlow
-from repro.core.message import Message
-from repro.errors import (
-    ProtocolError,
-    SelectionError,
-    StoreError,
-    StoreWriteError,
-    StreamError,
-)
-from repro.selection import kernels
+from repro.errors import ProtocolError, StreamError
 from repro.server import protocol
-from repro.server.metrics import MetricsRegistry, runtime_cache_collector
-from repro.store import wal as wal_mod
-from repro.store.inspect import (
-    META_FORMAT,
-    read_meta,
-    shard_directory,
-    write_meta,
-)
-from repro.store.store import SessionStore
-from repro.stream.ingest import CompressedTraceIngester, IncrementalTraceParser
-from repro.stream.session import SessionLimits, SessionManager
-
-#: Session transports: text trace-file chunks, or framed compressed
-#: bitstream chunks (decoded by :class:`CompressedTraceIngester`).
-TRANSPORTS = ("text", "ctrace")
+from repro.server.core import Reply, ServeContext, ServerConfig, SessionHost
+from repro.server.metrics import MetricsRegistry
 
 
-@dataclass(frozen=True)
-class ServeContext:
-    """What the server serves: one usage scenario's analysis context."""
+class _Lane:
+    """One shard's serialized work lane: a request queue drained by a
+    single-thread executor (owned by the event loop)."""
 
-    name: str
-    interleaved: InterleavedFlow
-    traced: Tuple[Message, ...]
-    catalog: Mapping[str, Message]
-    mode: str = "prefix"
-    max_frontier: Optional[int] = 4096
+    __slots__ = ("queue", "executor")
 
-    @classmethod
-    def from_scenario(
-        cls,
-        number: int,
-        instances: int = 1,
-        buffer_width: int = 32,
-        mode: str = "prefix",
-        max_frontier: Optional[int] = 4096,
-    ) -> "ServeContext":
-        """Build the context for a T2 scenario (cached selection)."""
-        from repro.experiments.common import scenario_selection
-
-        bundle = scenario_selection(
-            number, instances=instances, buffer_width=buffer_width
-        )
-        sc = bundle.scenario
-        return cls(
-            name=sc.name,
-            interleaved=sc.interleaved(),
-            traced=tuple(bundle.with_packing.traced),
-            catalog=dict(sc.catalog.messages),
-            mode=mode,
-            max_frontier=max_frontier,
-        )
-
-    @classmethod
-    def from_components(
-        cls,
-        interleaved: InterleavedFlow,
-        traced: Tuple[Message, ...],
-        catalog: Optional[Mapping[str, Message]] = None,
-        name: str = "custom",
-        mode: str = "prefix",
-        max_frontier: Optional[int] = 4096,
-    ) -> "ServeContext":
-        if catalog is None:
-            catalog = {m.name: m for m in interleaved.messages}
-        return cls(
-            name=name,
-            interleaved=interleaved,
-            traced=tuple(traced),
-            catalog=dict(catalog),
-            mode=mode,
-            max_frontier=max_frontier,
-        )
-
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Operational knobs of one :class:`DebugServer`."""
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    shards: int = 2
-    max_sessions: int = 64
-    max_queue_depth: int = 64
-    max_inflight: int = 32
-    max_payload_bytes: int = protocol.DEFAULT_MAX_PAYLOAD
-    idle_timeout_s: float = 300.0
-    idle_sweep_s: float = 10.0
-    retry_after_s: float = 0.05
-    metrics_port: Optional[int] = None
-    #: Durability (repro.store): a data directory enables the per-shard
-    #: write-ahead log + frontier snapshots; ``None`` keeps the server
-    #: purely in-memory (the pre-store behavior, bit for bit).
-    data_dir: Optional[str] = None
-    fsync: str = "interval"
-    fsync_interval_s: float = 0.05
-    snapshot_every: int = 256
-    segment_bytes: int = wal_mod.DEFAULT_SEGMENT_BYTES
-    #: Consecutive poisonous feeds (apply-time crashes that are not
-    #: ordinary stream errors) a session survives before the server
-    #: quarantines it -- retiring it with a structured
-    #: ``session-quarantined`` error instead of letting a client retry
-    #: a payload that can never succeed.
-    quarantine_after: int = 3
-
-
-class HashRing:
-    """Consistent hashing of session ids onto shard indices.
-
-    Each shard owns ``replicas`` points on a 32-bit ring (CRC-32 of a
-    shard-replica label -- deterministic across processes and hash
-    seeds); a session id lands on the first point at or after its own
-    hash.  Adding a shard therefore remaps only ~1/N of the id space,
-    and the spread is even without any coordination.
-    """
-
-    def __init__(self, shards: int, replicas: int = 32) -> None:
-        if shards < 1:
-            raise StreamError(f"shards must be >= 1, got {shards}")
-        points: List[Tuple[int, int]] = []
-        for index in range(shards):
-            for replica in range(replicas):
-                label = f"shard-{index}#{replica}".encode("ascii")
-                points.append((zlib.crc32(label) & 0xFFFFFFFF, index))
-        points.sort()
-        self._hashes = [h for h, _ in points]
-        self._shards = [s for _, s in points]
-
-    def shard_for(self, session_id: str) -> int:
-        key = zlib.crc32(session_id.encode("utf-8")) & 0xFFFFFFFF
-        position = bisect.bisect_left(self._hashes, key)
-        if position == len(self._hashes):
-            position = 0
-        return self._shards[position]
-
-
-class _ServerSession:
-    """Server-side per-session state outside the manager: the ingest
-    pipeline and the idempotency cursor (touched only by the owning
-    shard's worker thread)."""
-
-    __slots__ = (
-        "session_id", "transport", "parser", "ingester", "decoder",
-        "next_chunk", "records", "wire_bytes", "raw_bits", "last_status",
-        "observed_length", "frontier_size", "failures",
-    )
-
-    def __init__(
-        self,
-        session_id: str,
-        transport: str,
-        catalog: Mapping[str, Message],
-    ) -> None:
-        self.session_id = session_id
-        self.transport = transport
-        self.parser = IncrementalTraceParser(catalog)
-        self.ingester = (
-            CompressedTraceIngester(catalog, parser=self.parser)
-            if transport == "ctrace"
-            else None
-        )
-        # chunk payloads may split a multi-byte character; decode
-        # incrementally so a torn codepoint survives the chunk boundary
-        self.decoder = codecs.getincrementaldecoder("utf-8")("replace")
-        self.next_chunk = 0
-        self.records = 0
-        self.wire_bytes = 0
-        self.raw_bits = 0
-        self.last_status = "active"
-        self.observed_length = 0
-        self.frontier_size = 0
-        #: Consecutive apply-time crashes (poison payloads); reset on
-        #: every successful feed, compared against
-        #: ``ServerConfig.quarantine_after``.  Deliberately transient:
-        #: a restart wipes the strike count, not the session.
-        self.failures = 0
-
-    def capture(self, manager_state: dict) -> dict:
-        """Merge the manager's durable export with this wrapper's own
-        state into one JSON-able snapshot entry."""
-        state = dict(manager_state)
-        buffered, flag = self.decoder.getstate()
-        state.update(
-            transport=self.transport,
-            next_chunk=self.next_chunk,
-            wire_bytes=self.wire_bytes,
-            raw_bits=self.raw_bits,
-            last_status=self.last_status,
-            observed_length=self.observed_length,
-            frontier_size=self.frontier_size,
-            text_decoder=[
-                base64.b64encode(buffered).decode("ascii"), flag
-            ],
-        )
-        if self.transport == "ctrace":
-            state["ingester"] = self.ingester.export_state()
-        else:
-            state["parser"] = self.parser.export_state()
-        return state
-
-    @classmethod
-    def restore(
-        cls, state: dict, catalog: Mapping[str, Message]
-    ) -> "_ServerSession":
-        """The inverse of :meth:`capture` (the manager side is restored
-        separately via :meth:`SessionManager.adopt`)."""
-        session = cls(
-            str(state["session_id"]),
-            str(state.get("transport", "text")),
-            catalog,
-        )
-        session.next_chunk = int(state.get("next_chunk", 0))
-        session.records = int(state.get("records", 0))
-        session.wire_bytes = int(state.get("wire_bytes", 0))
-        session.raw_bits = int(state.get("raw_bits", 0))
-        session.last_status = str(state.get("last_status", "active"))
-        session.observed_length = int(state.get("observed_length", 0))
-        session.frontier_size = int(state.get("frontier_size", 0))
-        buffered, flag = state.get("text_decoder", ["", 0])
-        session.decoder.setstate(
-            (base64.b64decode(buffered), int(flag))
-        )
-        if session.transport == "ctrace":
-            session.ingester.restore_state(state["ingester"])
-        else:
-            session.parser.restore_state(state["parser"])
-        return session
-
-
-class _Shard:
-    """One shard: manager + session wrappers + serialized work lane."""
-
-    def __init__(
-        self, index: int, context: ServeContext, config: ServerConfig
-    ) -> None:
-        self.index = index
-        self.manager = SessionManager(
-            context.interleaved,
-            context.traced,
-            mode=context.mode,
-            limits=SessionLimits(
-                max_sessions=config.max_sessions,
-                max_frontier=context.max_frontier,
-                idle_timeout_s=config.idle_timeout_s,
-            ),
-        )
-        # every shard owns a manager over the same scenario; warming at
-        # construction resolves the compiled localization tables
-        # through the content-addressed registry before the listener
-        # accepts -- the first shard compiles, every later shard gets
-        # the same read-only tables back by fingerprint
-        self.manager.warm()
-        self.sessions: Dict[str, _ServerSession] = {}
-        self.queue: "asyncio.Queue[Tuple[Callable[[], Tuple[int, bytes]], asyncio.Future]]" = (
-            asyncio.Queue()
-        )
+    def __init__(self, index: int) -> None:
+        #: ``(operation, reply future)`` pairs, drained in order.
+        self.queue: asyncio.Queue = asyncio.Queue()
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"repro-shard{index}"
         )
-        self.store: Optional[SessionStore] = None
-        if config.data_dir is not None:
-            self.store = SessionStore(
-                shard_directory(config.data_dir, index),
-                fsync=config.fsync,
-                fsync_interval_s=config.fsync_interval_s,
-                snapshot_every=config.snapshot_every,
-                segment_bytes=config.segment_bytes,
-            )
-        #: Set when a physical store write fails: the shard keeps
-        #: serving from memory but stops promising durability (and
-        #: stops touching the broken store), with an alert raised --
-        #: explicit degradation instead of a crash loop.
-        self.degraded = False
-        self.degraded_reason: Optional[str] = None
-
-    @property
-    def durable(self) -> bool:
-        """Whether this shard still honors the acked-means-durable
-        contract (a store is attached and no write has failed)."""
-        return self.store is not None and not self.degraded
-
-    def sweep(self) -> Tuple[str, ...]:
-        """Evict idle sessions and drop their ingest state (runs on the
-        shard executor, serialized with regular operations).  With a
-        store attached, evicted sessions are spilled -- their full
-        state is parked in the store and folded into the next snapshot
-        instead of being lost."""
-        spill = None
-        if self.durable:
-            def spill(manager_state: dict) -> None:
-                wrapper = self.sessions.get(manager_state["session_id"])
-                if wrapper is not None:
-                    self.store.spill(wrapper.capture(manager_state))
-        evicted = self.manager.evict_idle(spill=spill)
-        live = set(self.manager.session_ids())
-        for sid in list(self.sessions):
-            if sid not in live:
-                del self.sessions[sid]
-        return evicted
-
-    def capture_states(self) -> List[dict]:
-        """Every live session's durable state, id-sorted (snapshot
-        path; runs on the shard executor)."""
-        states: List[dict] = []
-        for sid in self.manager.session_ids():
-            wrapper = self.sessions.get(sid)
-            if wrapper is None:  # pragma: no cover - defensive
-                continue
-            try:
-                manager_state = self.manager.export_session(sid)
-            except StreamError:  # pragma: no cover - raced retirement
-                continue
-            states.append(wrapper.capture(manager_state))
-        return sorted(states, key=lambda s: s["session_id"])
-
-    def close_all(self) -> int:
-        """Retire every remaining session (drain path)."""
-        closed = 0
-        for sid in self.manager.session_ids():
-            try:
-                self.manager.close(sid)
-                closed += 1
-            except StreamError:
-                pass
-        self.sessions.clear()
-        return closed
-
-    def stats(self) -> Dict[str, object]:
-        payload: Dict[str, object] = {"shard": self.index}
-        payload.update(self.manager.stats())
-        payload["queue_depth"] = self.queue.qsize()
-        payload["degraded"] = self.degraded
-        return payload
 
 
 class _Connection:
@@ -425,8 +84,8 @@ class DebugServer:
         self.context = context
         self.config = config if config is not None else ServerConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.ring = HashRing(self.config.shards)
-        self._shards: List[_Shard] = []
+        self.core = SessionHost(context, self.config, self.registry)
+        self._lanes: List[_Lane] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self._consumers: List[asyncio.Task] = []
@@ -435,13 +94,6 @@ class DebugServer:
         self._draining = False
         self._stopped = False
         self._started_at = 0.0
-        self._session_counter = 0
-        self._fingerprint: Optional[str] = None
-        self._recovery: Dict[str, object] = {}
-        #: Structured operational alerts (WAL degradation, snapshot
-        #: failures, quarantines) -- newest last, bounded, served over
-        #: the health collector so operators see them on STATS/metrics.
-        self._alerts: List[Dict[str, object]] = []
         self._perf = perf.PerfCounters()
         self.host = self.config.host
         self.port = self.config.port
@@ -452,65 +104,52 @@ class DebugServer:
     def _wire_counters(self) -> None:
         reg = self.registry
         self._c_requests = reg.counter("requests_total")
-        self._c_feeds = reg.counter("feeds_total")
-        self._c_records = reg.counter("records_fed_total")
-        self._c_opens = reg.counter("opens_total")
-        self._c_closes = reg.counter("closes_total")
         self._c_retry = reg.counter("retry_later_total")
         self._c_errors = reg.counter("error_replies_total")
-        self._c_protocol = reg.counter("protocol_errors_total")
         self._c_connections = reg.counter("connections_total")
         self._c_bytes_in = reg.counter("wire_bytes_in")
         self._c_bytes_out = reg.counter("wire_bytes_out")
-        self._c_cbytes = reg.counter("compressed_wire_bytes")
-        self._c_craw = reg.counter("compressed_raw_bits")
         self._c_deadline = reg.counter("deadline_exceeded_total")
-        self._c_degraded = reg.counter("wal_degraded_total")
-        self._c_snapfail = reg.counter("snapshot_failures_total")
-        self._c_quarantined = reg.counter("sessions_quarantined_total")
         self._h_feed = reg.histogram("feed_latency_s")
         self._h_request = reg.histogram("request_latency_s")
-        self._h_wal = reg.histogram("wal_append_s")
         reg.add_collector("server", self._server_stats)
         reg.add_collector("health", self._health)
-        reg.add_collector("store", self._store_stats)
-        reg.add_collector(
-            "shards", lambda: {"shards": [s.stats() for s in self._shards]}
-        )
-        reg.add_collector("runtime_cache", runtime_cache_collector)
-        reg.add_collector(
-            "localize_tables",
-            lambda: kernels.default_registry().stats(),
-        )
+        reg.add_collector("shards", self._shard_stats)
         reg.add_collector("perf", self._perf.as_dict)
 
     def _server_stats(self) -> Dict[str, object]:
-        wire_bytes = self._c_cbytes.value
-        raw_bits = self._c_craw.value
         return {
             "scenario": self.context.name,
             "mode": self.context.mode,
             "host": self.host,
             "port": self.port,
-            "shards": len(self._shards),
+            "shards": len(self._lanes),
             "uptime_s": round(
-                time.monotonic() - self._started_at if self._started_at else 0.0,
+                time.monotonic() - self._started_at
+                if self._started_at
+                else 0.0,
                 3,
             ),
             "draining": self._draining,
             "open_connections": len(self._connections),
-            "open_sessions": sum(len(s.manager) for s in self._shards),
+            "open_sessions": self.core.open_sessions(),
             "max_sessions": self.config.max_sessions,
-            "compression_ratio": (
-                round(raw_bits / (wire_bytes * 8), 4) if wire_bytes else 0.0
-            ),
+            "compression_ratio": self.core.compression_ratio(),
+        }
+
+    def _shard_stats(self) -> Dict[str, object]:
+        return {
+            "shards": [
+                dict(shard.stats(), queue_depth=lane.queue.qsize())
+                for shard, lane in zip(self.core.shards, self._lanes)
+            ]
         }
 
     def _health(self) -> Dict[str, object]:
         """Readiness summary: ``ok`` serves durably, ``degraded``
         serves with at least one shard in memory-only mode,
         ``draining`` refuses new work."""
-        degraded = [s.index for s in self._shards if s.degraded]
+        degraded = [s.index for s in self.core.shards if s.degraded]
         if self._draining:
             status = "draining"
         elif degraded:
@@ -520,70 +159,26 @@ class DebugServer:
         return {
             "status": status,
             "degraded_shards": degraded,
-            "alerts": [dict(alert) for alert in self._alerts],
+            "alerts": [dict(alert) for alert in self.core.alerts],
         }
-
-    def _alert(self, kind: str, **fields: object) -> None:
-        """Record one structured operational alert (bounded buffer)."""
-        alert: Dict[str, object] = {"kind": kind}
-        alert.update(fields)
-        self._alerts.append(alert)
-        del self._alerts[:-64]
 
     @property
     def recovery_info(self) -> Dict[str, object]:
         """Summary of the last start's recovery (empty without a
         store): sessions restored, records replayed, wall time."""
-        return dict(self._recovery)
-
-    def _store_stats(self) -> Dict[str, object]:
-        if self.config.data_dir is None:
-            return {"enabled": False}
-        per_shard = [
-            dict(shard.store.stats(), shard=shard.index)
-            for shard in self._shards
-            if shard.store is not None
-        ]
-        totals: Dict[str, object] = {}
-        for stats in per_shard:
-            for key, value in stats.items():
-                if key == "shard" or not isinstance(value, (int, float)):
-                    continue
-                totals[key] = totals.get(key, 0) + value
-        return {
-            "enabled": True,
-            "data_dir": self.config.data_dir,
-            "fsync": self.config.fsync,
-            "snapshot_every": self.config.snapshot_every,
-            "fingerprint": self._fingerprint,
-            "recovery": dict(self._recovery),
-            "totals": totals,
-            "shards": per_shard,
-        }
+        return dict(self.core.recovery)
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind, start shard consumers and the sweeper; returns the
-        bound ``(host, port)`` (port 0 resolves to an ephemeral one)."""
+        """Recover durable state, bind, start shard lanes and the
+        sweeper; returns the bound ``(host, port)`` (port 0 resolves to
+        an ephemeral one)."""
         if self._server is not None:
             raise StreamError("server already started")
         loop = asyncio.get_running_loop()
-        self._shards = [
-            _Shard(i, self.context, self.config)
-            for i in range(self.config.shards)
-        ]
-        # every shard resolved the same compiled tables by content hash;
-        # the fingerprint ties durable state to this exact scenario
-        self._fingerprint = (
-            self._shards[0].manager.shared_localizer.fingerprint()
-        )
         if self.config.data_dir is not None:
-            try:
-                self._recover_from_store()
-            except BaseException:
-                for shard in self._shards:
-                    shard.executor.shutdown(wait=False)
-                raise
+            self.core.recover()
+        self._lanes = [_Lane(shard.index) for shard in self.core.shards]
         perf.activate(self._perf)
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
@@ -591,7 +186,7 @@ class DebugServer:
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         self._consumers = [
-            loop.create_task(self._consume(shard)) for shard in self._shards
+            loop.create_task(self._consume(lane)) for lane in self._lanes
         ]
         self._sweeper = loop.create_task(self._sweep_loop())
         if self.config.metrics_port is not None:
@@ -609,8 +204,8 @@ class DebugServer:
         """Stop serving.
 
         ``drain=True`` (the graceful path) finishes every queued
-        operation, flushes its response, and retires remaining sessions
-        through their managers.  ``abort=True`` simulates a crash:
+        operation, flushes its response, then checkpoints (durable) or
+        retires the remaining sessions.  ``abort=True`` simulates a crash:
         connections are torn down immediately and queued work is
         dropped -- the client-retry soak test drives this path.
         """
@@ -630,9 +225,9 @@ class DebugServer:
                 if transport is not None:
                     transport.abort()
         elif drain:
-            for shard in self._shards:
+            for lane in self._lanes:
                 try:
-                    await asyncio.wait_for(shard.queue.join(), timeout=30.0)
+                    await asyncio.wait_for(lane.queue.join(), timeout=30.0)
                 except asyncio.TimeoutError:  # pragma: no cover - defensive
                     pass
         if self._sweeper is not None:
@@ -646,27 +241,17 @@ class DebugServer:
         )
         if not abort:
             loop = asyncio.get_running_loop()
-            for shard in self._shards:
-                if shard.durable:
-                    # durable shutdown: checkpoint every live session
-                    # (and the spill map) instead of retiring them --
-                    # they come back on the next start
-                    await loop.run_in_executor(
-                        shard.executor, self._final_snapshot, shard
-                    )
-                else:
-                    # memory-only (or degraded -- its store cannot be
-                    # trusted to take another write) shards just retire
-                    await loop.run_in_executor(
-                        shard.executor, shard.close_all
-                    )
+            for shard, lane in zip(self.core.shards, self._lanes):
+                await loop.run_in_executor(
+                    lane.executor, self.core.close_shard, shard
+                )
         for connection in list(self._connections):
             try:
                 connection.writer.close()
             except Exception:  # pragma: no cover - defensive
                 pass
-        for shard in self._shards:
-            shard.executor.shutdown(wait=True)
+        for lane in self._lanes:
+            lane.executor.shutdown(wait=True)
         perf.deactivate(self._perf)
 
     async def run(
@@ -702,12 +287,12 @@ class DebugServer:
             await self.stop(drain=True)
 
     # -- background tasks ----------------------------------------------
-    async def _consume(self, shard: _Shard) -> None:
+    async def _consume(self, lane: _Lane) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            fn, future = await shard.queue.get()
+            fn, future = await lane.queue.get()
             try:
-                result = await loop.run_in_executor(shard.executor, fn)
+                result = await loop.run_in_executor(lane.executor, fn)
             except Exception as exc:  # noqa: BLE001 - reply, don't die
                 result = (
                     protocol.ERROR,
@@ -715,14 +300,14 @@ class DebugServer:
                 )
             if not future.cancelled():
                 future.set_result(result)
-            shard.queue.task_done()
+            lane.queue.task_done()
 
     async def _sweep_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
             await asyncio.sleep(self.config.idle_sweep_s)
-            for shard in self._shards:
-                await loop.run_in_executor(shard.executor, shard.sweep)
+            for shard, lane in zip(self.core.shards, self._lanes):
+                await loop.run_in_executor(lane.executor, shard.sweep)
 
     # -- connection handling -------------------------------------------
     async def _handle_connection(
@@ -740,12 +325,8 @@ class DebugServer:
                 try:
                     frames = connection.assembler.feed(data)
                 except ProtocolError as exc:
-                    self._c_protocol.inc()
                     await self._send(
-                        connection,
-                        protocol.ERROR,
-                        0,
-                        protocol.error_payload("protocol", str(exc)),
+                        connection, 0, self.core.protocol_error(exc)
                     )
                     break
                 for frame in frames:
@@ -764,38 +345,11 @@ class DebugServer:
     ) -> None:
         """Admission-check one request and hand it to its shard."""
         self._c_requests.inc()
-        if frame.frame_type not in protocol.REQUEST_TYPES:
-            self._c_protocol.inc()
-            await self._send(
-                connection,
-                protocol.ERROR,
-                frame.seq,
-                protocol.error_payload(
-                    "bad-request",
-                    f"unknown request type {frame.frame_type:#04x}",
-                ),
-            )
-            return
-        # metrics/health requests are served inline: they must work
-        # even when every shard queue is saturated
-        if frame.frame_type == protocol.STATS:
-            await self._send(
-                connection,
-                protocol.OK,
-                frame.seq,
-                protocol.encode_json(self.registry.snapshot()),
-            )
-            return
-        if frame.frame_type == protocol.PING:
-            await self._send(
-                connection,
-                protocol.OK,
-                frame.seq,
-                protocol.encode_json(
-                    {"version": protocol.PROTOCOL_VERSION,
-                     "scenario": self.context.name}
-                ),
-            )
+        # unknown types and metrics/health requests are served inline:
+        # they must work even when every shard queue is saturated
+        reply = self.core.inline(frame.frame_type)
+        if reply is not None:
+            await self._send(connection, frame.seq, reply)
             return
         if self._draining:
             await self._retry_later(connection, frame.seq, "draining")
@@ -804,27 +358,26 @@ class DebugServer:
             await self._retry_later(connection, frame.seq, "inflight-cap")
             return
         try:
-            shard, op, is_feed, deadline_ms = self._route(frame)
+            shard, op, is_feed, deadline_ms = self.core.route(
+                frame.frame_type, frame.payload
+            )
         except ProtocolError as exc:
-            self._c_protocol.inc()
             await self._send(
-                connection,
-                protocol.ERROR,
-                frame.seq,
-                protocol.error_payload("protocol", str(exc)),
+                connection, frame.seq, self.core.protocol_error(exc)
             )
             return
         except StreamError as exc:
             await self._retry_later(connection, frame.seq, str(exc))
             return
-        if shard.queue.qsize() >= self.config.max_queue_depth:
+        lane = self._lanes[shard.index]
+        if lane.queue.qsize() >= self.config.max_queue_depth:
             await self._retry_later(connection, frame.seq, "queue-full")
             return
         if deadline_ms is not None:
             op = self._guard_deadline(op, deadline_ms)
         connection.inflight += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await shard.queue.put((op, future))
+        await lane.queue.put((op, future))
         asyncio.get_running_loop().create_task(
             self._respond(connection, frame.seq, future, is_feed)
         )
@@ -838,34 +391,28 @@ class DebugServer:
     ) -> None:
         started = time.perf_counter()
         try:
-            frame_type, payload = await future
+            reply = await future
         finally:
             connection.inflight -= 1
         elapsed = time.perf_counter() - started
         self._h_request.observe(elapsed)
         if is_feed:
             self._h_feed.observe(elapsed)
-        if frame_type == protocol.ERROR:
+        if reply[0] == protocol.ERROR:
             self._c_errors.inc()
-        await self._send(connection, frame_type, seq, payload)
+        await self._send(connection, seq, reply)
 
     async def _retry_later(
         self, connection: _Connection, seq: int, reason: str
     ) -> None:
         self._c_retry.inc()
-        await self._send(
-            connection,
-            protocol.RETRY_LATER,
-            seq,
-            protocol.retry_later_payload(reason, self.config.retry_after_s),
-        )
+        await self._send(connection, seq, self.core.retry_later(reason))
 
     async def _send(
-        self, connection: _Connection, frame_type: int, seq: int,
-        payload: bytes,
+        self, connection: _Connection, seq: int, reply: Reply
     ) -> None:
         data = protocol.encode_frame(
-            frame_type, seq, payload,
+            reply[0], seq, reply[1],
             max_payload=self.config.max_payload_bytes,
         )
         self._c_bytes_out.inc(len(data))
@@ -876,665 +423,25 @@ class DebugServer:
             except (ConnectionResetError, BrokenPipeError, RuntimeError):
                 pass
 
-    # -- request routing and shard-thread operations -------------------
-    def _route(
-        self, frame: protocol.WireFrame
-    ) -> Tuple[
-        _Shard, Callable[[], Tuple[int, bytes]], bool, Optional[int]
-    ]:
-        """Build the shard-thread operation for one request; the last
-        element is the request's relative deadline in milliseconds
-        (``None`` when the client sent none).
-
-        Raises :class:`ProtocolError` for malformed payloads and
-        :class:`StreamError` for global-capacity refusals (mapped to
-        ``RETRY_LATER`` by the caller).
-        """
-        if frame.frame_type == protocol.FEED_CHUNK:
-            sid, chunk_index, eof, data, deadline_ms = (
-                protocol.decode_feed_payload_ex(frame.payload)
-            )
-            shard = self._shards[self.ring.shard_for(sid)]
-            return (
-                shard,
-                lambda: self._op_feed(shard, sid, chunk_index, eof, data),
-                True,
-                deadline_ms,
-            )
-        body = protocol.decode_json(frame.payload)
-        deadline_ms = self._body_deadline(body)
-        if frame.frame_type == protocol.OPEN_SESSION:
-            sid = body.get("session_id")
-            if sid is None:
-                self._session_counter += 1
-                sid = f"g{self._session_counter:06d}"
-            if not isinstance(sid, str) or not sid:
-                raise ProtocolError("session_id must be a non-empty string")
-            mode = body.get("mode")
-            transport = body.get("transport", "text")
-            if transport not in TRANSPORTS:
-                raise ProtocolError(
-                    f"unknown transport {transport!r}; choose "
-                    f"{' or '.join(TRANSPORTS)}"
-                )
-            open_sessions = sum(len(s.manager) for s in self._shards)
-            if open_sessions >= self.config.max_sessions:
-                raise StreamError("session-table-full")
-            shard = self._shards[self.ring.shard_for(sid)]
-            return (
-                shard,
-                lambda: self._op_open(shard, sid, mode, str(transport)),
-                False,
-                deadline_ms,
-            )
-        sid = body.get("session_id")
-        if not isinstance(sid, str) or not sid:
-            raise ProtocolError("session_id must be a non-empty string")
-        shard = self._shards[self.ring.shard_for(sid)]
-        if frame.frame_type == protocol.SNAPSHOT:
-            return (
-                shard, lambda: self._op_snapshot(shard, sid), False,
-                deadline_ms,
-            )
-        return (
-            shard, lambda: self._op_close(shard, sid), False, deadline_ms,
-        )
-
-    @staticmethod
-    def _body_deadline(body: Dict[str, object]) -> Optional[int]:
-        """The optional ``deadline_ms`` field of a JSON request body."""
-        deadline = body.get("deadline_ms")
-        if deadline is None:
-            return None
-        if not isinstance(deadline, int) or isinstance(deadline, bool):
-            raise ProtocolError("deadline_ms must be an integer")
-        if not 0 <= deadline <= 0xFFFFFFFF:
-            raise ProtocolError(f"deadline {deadline}ms out of range")
-        return deadline
-
     def _guard_deadline(
         self,
-        op: Callable[[], Tuple[int, bytes]],
+        op: Callable[[], Reply],
         deadline_ms: int,
-    ) -> Callable[[], Tuple[int, bytes]]:
+    ) -> Callable[[], Reply]:
         """Wrap a shard operation so that, by the time the shard's
-        worker dequeues it, an already-expired request budget is
+        lane dequeues it, an already-expired request budget is
         answered with ``RETRY_LATER`` *before* anything is applied --
         the client has given up waiting, so doing the work would break
         the no-effect promise its retransmit relies on."""
         expires_at = time.monotonic() + deadline_ms / 1000.0
 
-        def guarded() -> Tuple[int, bytes]:
+        def guarded() -> Reply:
             if time.monotonic() >= expires_at:
                 self._c_deadline.inc()
-                return (
-                    protocol.RETRY_LATER,
-                    protocol.retry_later_payload(
-                        "deadline-exceeded", self.config.retry_after_s
-                    ),
-                )
+                return self.core.retry_later("deadline-exceeded")
             return op()
 
         return guarded
-
-    def _op_open(
-        self, shard: _Shard, sid: str, mode: Optional[object],
-        transport: str,
-    ) -> Tuple[int, bytes]:
-        revived = self._revive(shard, sid)
-        if revived is not None:
-            # reopening a spilled session resumes it; the reply's
-            # next_chunk tells the client where the durable
-            # high-watermark is so it replays only the tail
-            self._c_opens.inc()
-            return (
-                protocol.OK,
-                protocol.encode_json(
-                    {
-                        "session_id": sid,
-                        "shard": shard.index,
-                        "transport": revived.transport,
-                        "mode": shard.manager.session(sid).mode,
-                        "resumed": True,
-                        "next_chunk": revived.next_chunk,
-                    }
-                ),
-            )
-        try:
-            self._apply_open(shard, sid, mode, transport)
-        except StreamError as exc:
-            if "table full" in str(exc):
-                return (
-                    protocol.RETRY_LATER,
-                    protocol.retry_later_payload(
-                        "session-table-full", self.config.retry_after_s
-                    ),
-                )
-            return (
-                protocol.ERROR,
-                protocol.error_payload("session-exists", str(exc)),
-            )
-        except SelectionError as exc:
-            return (
-                protocol.ERROR,
-                protocol.error_payload("bad-request", str(exc)),
-            )
-        if shard.durable:
-            # logged *after* the apply: a crash in between loses only
-            # an un-acked open, which the client simply retries
-            self._wal_append(
-                shard,
-                lambda: shard.store.log_open(
-                    sid, shard.manager.session(sid).mode, transport
-                ),
-            )
-        self._c_opens.inc()
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "shard": shard.index,
-                    "transport": transport,
-                    "mode": shard.manager.session(sid).mode,
-                }
-            ),
-        )
-
-    def _op_feed(
-        self, shard: _Shard, sid: str, chunk_index: int, eof: bool,
-        data: bytes,
-    ) -> Tuple[int, bytes]:
-        session = shard.sessions.get(sid)
-        if session is None:
-            session = self._revive(shard, sid)
-        if session is None:
-            return self._unknown_session(shard, sid)
-        if chunk_index < session.next_chunk:
-            # a retransmit of an already-applied chunk (the response
-            # was lost); acknowledge without re-feeding
-            return (
-                protocol.OK,
-                protocol.encode_json(
-                    {
-                        "session_id": sid,
-                        "chunk_index": chunk_index,
-                        "duplicate": True,
-                        "consumed": 0,
-                        "records": 0,
-                        "status": session.last_status,
-                        "observed_length": session.observed_length,
-                        "frontier_size": session.frontier_size,
-                        "next_chunk": session.next_chunk,
-                    }
-                ),
-            )
-        if chunk_index > session.next_chunk:
-            return (
-                protocol.ERROR,
-                protocol.error_payload(
-                    "chunk-gap",
-                    f"expected chunk {session.next_chunk}, "
-                    f"got {chunk_index}",
-                    expected=session.next_chunk,
-                ),
-            )
-        if shard.durable:
-            # log-before-apply: once the client sees this chunk's OK,
-            # the chunk is on disk.  A crash between the append and the
-            # apply is safe -- replay applies it, the un-acked client
-            # retransmits, and idempotency answers with a duplicate-ack
-            self._wal_append(
-                shard,
-                lambda: shard.store.log_feed(sid, chunk_index, data, eof),
-            )
-        try:
-            record_count, outcome = self._apply_feed(
-                shard, session, chunk_index, eof, data
-            )
-        except StreamError:
-            return self._unknown_session(shard, sid)
-        except Exception as exc:  # noqa: BLE001 - poison payload
-            return self._poisoned_feed(shard, session, exc)
-        session.failures = 0
-        self._c_feeds.inc()
-        self._c_records.inc(outcome.consumed)
-        reply = (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "chunk_index": chunk_index,
-                    "duplicate": False,
-                    "consumed": outcome.consumed,
-                    "records": record_count,
-                    "status": outcome.status,
-                    "observed_length": outcome.observed_length,
-                    "frontier_size": outcome.frontier_size,
-                    "next_chunk": session.next_chunk,
-                }
-            ),
-        )
-        if shard.durable and shard.store.should_snapshot():
-            try:
-                self._snapshot_shard(shard)
-            except StoreWriteError as exc:
-                # a failed checkpoint costs replay time, not data: the
-                # WAL still has everything, so alert and keep serving
-                self._c_snapfail.inc()
-                self._alert(
-                    "snapshot-failed",
-                    shard=shard.index,
-                    reason=str(exc),
-                    path=exc.path,
-                )
-        return reply
-
-    def _poisoned_feed(
-        self, shard: _Shard, session: _ServerSession, exc: Exception
-    ) -> Tuple[int, bytes]:
-        """Answer a feed whose apply crashed in a way no retry can fix.
-
-        Strikes accumulate per session; past
-        ``ServerConfig.quarantine_after`` the session is forcibly
-        retired with a terminal ``session-quarantined`` error (logged
-        to the WAL so a restart does not resurrect it), because letting
-        a client retry a poisonous payload forever is an availability
-        bug, not fault tolerance."""
-        sid = session.session_id
-        session.failures += 1
-        if session.failures < self.config.quarantine_after:
-            return (
-                protocol.ERROR,
-                protocol.error_payload(
-                    "poison-payload",
-                    f"feed to session {sid!r} failed to apply: {exc}",
-                    failures=session.failures,
-                    quarantine_after=self.config.quarantine_after,
-                ),
-            )
-        try:
-            shard.manager.quarantine(sid)
-        except StreamError:  # pragma: no cover - raced retirement
-            pass
-        shard.sessions.pop(sid, None)
-        if shard.durable:
-            # a WAL close retires the session at replay time too --
-            # otherwise recovery would faithfully rebuild the poisoned
-            # session and the next feed would re-strike it
-            shard.store.drop_spilled(sid)
-            self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_quarantined.inc()
-        self._alert(
-            "session-quarantined",
-            shard=shard.index,
-            session_id=sid,
-            reason=str(exc),
-        )
-        return (
-            protocol.ERROR,
-            protocol.error_payload(
-                "session-quarantined",
-                f"session {sid!r} was quarantined after "
-                f"{session.failures} consecutive poisonous feeds "
-                f"(last: {exc})",
-            ),
-        )
-
-    def _op_snapshot(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        if sid not in shard.sessions:
-            self._revive(shard, sid)
-        try:
-            result = shard.manager.snapshot(sid)
-            session = shard.manager.session(sid)
-            status = session.status
-            observed = session.localizer.observed_length
-        except StreamError:
-            return self._unknown_session(shard, sid)
-        wrapper = shard.sessions.get(sid)
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "consistent_paths": result.consistent_paths,
-                    "total_paths": result.total_paths,
-                    "fraction": result.fraction,
-                    "status": status,
-                    "observed_length": observed,
-                    # the chunk cursor lets a client detect a server
-                    # that recovered without its acked tail (e.g. the
-                    # shard degraded before a crash) and replay it
-                    "next_chunk": (
-                        wrapper.next_chunk if wrapper is not None else 0
-                    ),
-                }
-            ),
-        )
-
-    def _op_close(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        if sid not in shard.sessions:
-            self._revive(shard, sid)
-        wrapper = shard.sessions.get(sid)
-        next_chunk = wrapper.next_chunk if wrapper is not None else 0
-        try:
-            record = shard.manager.close(sid)
-        except StreamError:
-            return self._unknown_session(shard, sid)
-        shard.sessions.pop(sid, None)
-        if shard.durable:
-            shard.store.drop_spilled(sid)
-            self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_closes.inc()
-        extra = record.extra
-        return (
-            protocol.OK,
-            protocol.encode_json(
-                {
-                    "session_id": sid,
-                    "status": str(extra["status"]),
-                    "records": extra["records"],
-                    "observed_length": extra["observed_length"],
-                    "consistent_paths": extra["consistent_paths"],
-                    "total_paths": extra["total_paths"],
-                    "fraction": extra["fraction"],
-                    "next_chunk": next_chunk,
-                }
-            ),
-        )
-
-    def _unknown_session(self, shard: _Shard, sid: str) -> Tuple[int, bytes]:
-        shard.sessions.pop(sid, None)
-        return (
-            protocol.ERROR,
-            protocol.error_payload(
-                "unknown-session",
-                f"session {sid!r} is not open on this server "
-                "(closed, evicted, or lost to a restart)",
-            ),
-        )
-
-    # -- apply helpers (shared by live ops and WAL replay) --------------
-    def _apply_open(
-        self, shard: _Shard, sid: str, mode: Optional[object],
-        transport: str,
-    ) -> None:
-        shard.manager.open(sid, mode=mode if mode is None else str(mode))
-        shard.sessions[sid] = _ServerSession(
-            sid, transport, self.context.catalog
-        )
-
-    def _apply_feed(
-        self,
-        shard: _Shard,
-        session: _ServerSession,
-        chunk_index: int,
-        eof: bool,
-        data: bytes,
-    ):
-        """Ingest one chunk and advance the session; returns
-        ``(record_count, FeedOutcome)``.  Both live traffic and WAL
-        replay run through here -- that sharing is what makes a
-        recovered session bit-identical to an uninterrupted one."""
-        if session.transport == "ctrace":
-            records = list(session.ingester.feed(data))
-            if eof:
-                records.extend(session.ingester.close())
-            session.wire_bytes += len(data)
-            self._c_cbytes.inc(len(data))
-            if records:
-                from repro.compress.encoder import uncompressed_capture_bits
-
-                added_bits = uncompressed_capture_bits(records)
-                session.raw_bits += added_bits
-                self._c_craw.inc(added_bits)
-        else:
-            text = session.decoder.decode(data, final=eof)
-            records = list(session.parser.feed(text))
-            if eof:
-                records.extend(session.parser.close())
-        outcome = shard.manager.feed(
-            session.session_id, records, drop_invisible=True
-        )
-        session.next_chunk = chunk_index + 1
-        session.records += outcome.consumed
-        session.last_status = outcome.status
-        session.observed_length = outcome.observed_length
-        session.frontier_size = outcome.frontier_size
-        return len(records), outcome
-
-    # -- durability (repro.store) ---------------------------------------
-    def _wal_append(
-        self, shard: _Shard, append: Callable[[], int]
-    ) -> Optional[int]:
-        """Run one store append; a physical write failure degrades the
-        shard (memory-only mode, structured alert, metric) instead of
-        killing the request -- returns ``None`` in that case."""
-        started = time.perf_counter()
-        try:
-            lsn = append()
-        except StoreWriteError as exc:
-            self._degrade_shard(shard, exc)
-            return None
-        self._h_wal.observe(time.perf_counter() - started)
-        return lsn
-
-    def _degrade_shard(self, shard: _Shard, exc: StoreWriteError) -> None:
-        """Flip a shard into explicit memory-only mode after a store
-        write failure.  The shard keeps serving -- every session stays
-        live -- but durability promises stop, the health collector
-        reports ``degraded``, and an alert records exactly what broke.
-        Sticky by design: the WAL never resynchronizes past a torn
-        record, so resuming appends after a failure could silently
-        strand acked data behind an unreadable tail."""
-        if shard.degraded:
-            return
-        shard.degraded = True
-        shard.degraded_reason = str(exc)
-        self._c_degraded.inc()
-        self._alert(
-            "wal-degraded",
-            shard=shard.index,
-            reason=str(exc),
-            path=exc.path,
-            lsn=exc.lsn,
-        )
-
-    def _install_state(
-        self, shard: _Shard, state: dict
-    ) -> Optional[_ServerSession]:
-        """Adopt one captured session (snapshot entry or spilled state)
-        back into the shard; ``None`` when the table is full."""
-        sid = str(state["session_id"])
-        # spill anything idle first so adopt's internal eviction can
-        # never silently drop a session the store should have kept
-        shard.sweep()
-        try:
-            shard.manager.adopt(
-                sid,
-                mode=state.get("mode"),
-                status=str(state.get("status", "active")),
-                feeds=int(state.get("feeds", 0)),
-                records=int(state.get("records", 0)),
-                localizer_state=state.get("localizer"),
-            )
-        except StreamError:
-            return None
-        wrapper = _ServerSession.restore(state, self.context.catalog)
-        shard.sessions[sid] = wrapper
-        return wrapper
-
-    def _revive(self, shard: _Shard, sid: str) -> Optional[_ServerSession]:
-        """Bring a spilled (evicted-but-durable) session back live."""
-        if not shard.durable:
-            return None
-        state = shard.store.take_spilled(sid)
-        if state is None:
-            return None
-        wrapper = self._install_state(shard, state)
-        if wrapper is None:
-            shard.store.spill(state)  # table full: park it again
-        return wrapper
-
-    def _snapshot_shard(self, shard: _Shard) -> None:
-        """Checkpoint one shard (runs on its executor thread, so it
-        serializes with that shard's operations)."""
-        shard.store.write_snapshot(
-            shard.capture_states(),
-            fingerprint=self._fingerprint or "",
-            scenario=self.context.name,
-            mode=self.context.mode,
-            session_counter=self._session_counter,
-        )
-
-    def _final_snapshot(self, shard: _Shard) -> None:
-        """Durable shutdown of one shard: checkpoint, then seal the
-        WAL.  Sessions are *not* retired -- they come back on the next
-        start.  A write failure here degrades instead of raising: the
-        WAL already holds everything an acked request needs, so the
-        next start just replays a longer tail."""
-        try:
-            try:
-                self._snapshot_shard(shard)
-            finally:
-                shard.store.close()
-        except StoreWriteError as exc:
-            self._degrade_shard(shard, exc)
-
-    def _note_session_id(self, sid: str) -> None:
-        """Keep the generated-id counter past every durable id, so a
-        restarted server never re-issues one."""
-        if sid.startswith("g") and sid[1:].isdigit():
-            self._session_counter = max(
-                self._session_counter, int(sid[1:])
-            )
-
-    def _recover_from_store(self) -> None:
-        """Rebuild every shard from its data directory: newest valid
-        snapshot, then the WAL tail through the same apply path live
-        traffic takes.  Refuses state from a different scenario."""
-        started = time.perf_counter()
-        data_dir = self.config.data_dir
-        meta = read_meta(data_dir)
-        if meta is None:
-            write_meta(
-                data_dir,
-                {
-                    "format": META_FORMAT,
-                    "scenario": self.context.name,
-                    "mode": self.context.mode,
-                    "fingerprint": self._fingerprint,
-                    "shards": len(self._shards),
-                },
-            )
-        else:
-            if meta.get("fingerprint") not in (None, self._fingerprint):
-                raise StoreError(
-                    f"data directory {data_dir} belongs to a different "
-                    f"scenario (stored fingerprint "
-                    f"{meta.get('fingerprint')!r}, serving "
-                    f"{self._fingerprint!r})"
-                )
-            if int(meta.get("shards", len(self._shards))) != len(
-                self._shards
-            ):
-                raise StoreError(
-                    f"data directory {data_dir} was written with "
-                    f"{meta.get('shards')} shard(s); this server runs "
-                    f"{len(self._shards)} -- session routing would break"
-                )
-        sessions = replayed = 0
-        diagnostics: List[str] = []
-        for shard in self._shards:
-            shard_started = time.perf_counter()
-            recovered = shard.store.open()
-            diagnostics.extend(recovered.diagnostics)
-            snap = recovered.snapshot
-            if snap is not None:
-                snap_fp = snap.get("fingerprint")
-                if snap_fp not in (None, "", self._fingerprint):
-                    raise StoreError(
-                        f"shard {shard.index} snapshot was taken on a "
-                        f"different scenario (fingerprint {snap_fp!r})"
-                    )
-                self._session_counter = max(
-                    self._session_counter,
-                    int(snap.get("session_counter", 0)),
-                )
-                for state in snap.get("sessions", ()):
-                    self._note_session_id(str(state["session_id"]))
-                    self._install_state(shard, state)
-                for sid in shard.store.spilled_ids():
-                    self._note_session_id(sid)
-            for record in recovered.tail:
-                self._replay_record(shard, record)
-                replayed += 1
-            # what actually came back: live sessions (snapshot +
-            # WAL-replayed opens) plus revivable spilled ones
-            sessions += len(shard.manager) + len(
-                shard.store.spilled_ids()
-            )
-            shard.store.recovered_sessions = len(shard.manager)
-            shard.store.recovered_records = recovered.replay_records
-            shard.store.recovery_wall_s = (
-                time.perf_counter() - shard_started
-            )
-        self._recovery = {
-            "sessions": sessions,
-            "replayed_records": replayed,
-            "wall_s": round(time.perf_counter() - started, 6),
-            "diagnostics": diagnostics,
-        }
-
-    def _replay_record(
-        self, shard: _Shard, record: wal_mod.WalRecord
-    ) -> None:
-        """Apply one trusted WAL tail record at recovery time."""
-        if record.rec_type == wal_mod.WAL_OPEN:
-            body = json.loads(record.payload.decode("utf-8"))
-            sid = str(body["session_id"])
-            self._note_session_id(sid)
-            if sid in shard.sessions:  # pragma: no cover - defensive
-                return
-            try:
-                self._apply_open(
-                    shard,
-                    sid,
-                    body.get("mode"),
-                    str(body.get("transport", "text")),
-                )
-            except (StreamError, SelectionError):  # pragma: no cover
-                pass
-        elif record.rec_type == wal_mod.WAL_FEED:
-            sid, chunk_index, eof, data = protocol.decode_feed_payload(
-                record.payload
-            )
-            session = shard.sessions.get(sid)
-            if session is None:
-                session = self._revive(shard, sid)
-            if session is None or chunk_index != session.next_chunk:
-                # orphaned or already-folded feed: nothing to redo
-                return
-            try:
-                self._apply_feed(shard, session, chunk_index, eof, data)
-            except Exception:  # noqa: BLE001 - incl. poison payloads
-                # a feed that crashed the apply live (and was logged
-                # before the crash surfaced) must not crash recovery;
-                # the quarantine close that followed it retires the
-                # session a few records later in the same tail
-                pass
-        elif record.rec_type == wal_mod.WAL_CLOSE:
-            sid = str(
-                json.loads(record.payload.decode("utf-8"))["session_id"]
-            )
-            if sid in shard.sessions:
-                try:
-                    shard.manager.close(sid)
-                except StreamError:  # pragma: no cover - defensive
-                    pass
-                shard.sessions.pop(sid, None)
-            else:
-                shard.store.drop_spilled(sid)
 
     # -- metrics plane -------------------------------------------------
     async def _handle_metrics(

@@ -7,8 +7,11 @@ localization (the service layer over Section 5.2).
   across captures,
 - :mod:`repro.stream.session` -- per-validator sessions with limits,
   overflow status, idle eviction, and telemetry,
-- :mod:`repro.stream.service` -- a thread-pooled front end plus the
-  synthetic load test behind ``repro serve-demo``.
+- :mod:`repro.stream.service` -- seeded synthetic validator workloads.
+
+Sessions are hosted by one core, :class:`repro.server.core.
+SessionHost`, behind either the TCP server or an in-process client;
+``repro stream`` follows a single trace file with this package alone.
 """
 
 from repro.stream.incremental import IncrementalLocalizer
@@ -17,14 +20,7 @@ from repro.stream.ingest import (
     IncrementalTraceParser,
     ParseDiagnostic,
 )
-from repro.stream.service import (
-    LoadTestReport,
-    SessionOutcome,
-    StreamService,
-    chunked,
-    run_load_test,
-    synthetic_session_records,
-)
+from repro.stream.service import chunked, synthetic_session_records
 from repro.stream.session import (
     FeedOutcome,
     SessionLimits,
@@ -41,10 +37,6 @@ __all__ = [
     "SessionManager",
     "StreamSession",
     "FeedOutcome",
-    "StreamService",
-    "SessionOutcome",
-    "LoadTestReport",
     "chunked",
-    "run_load_test",
     "synthetic_session_records",
 ]

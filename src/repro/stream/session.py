@@ -45,7 +45,11 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
-from repro.errors import FrontierOverflowError, StreamError
+from repro.errors import (
+    FrontierOverflowError,
+    SessionTableFullError,
+    StreamError,
+)
 from repro.runtime.telemetry import RunRecord, record_run
 from repro.selection.localization import LocalizationResult, PathLocalizer
 from repro.stream.incremental import IncrementalLocalizer, Observable
@@ -197,12 +201,13 @@ class SessionManager:
         """Open a session; returns its id.
 
         Evicts idle sessions first; raises :class:`~repro.errors.
-        StreamError` when the table is still full or the id is taken.
+        SessionTableFullError` when the table is still full and
+        :class:`~repro.errors.StreamError` when the id is taken.
         """
         self.evict_idle()
         with self._lock:
             if len(self._sessions) >= self.limits.max_sessions:
-                raise StreamError(
+                raise SessionTableFullError(
                     f"session table full ({self.limits.max_sessions}); "
                     "close or evict a session first"
                 )
@@ -248,7 +253,7 @@ class SessionManager:
         self.evict_idle()
         with self._lock:
             if len(self._sessions) >= self.limits.max_sessions:
-                raise StreamError(
+                raise SessionTableFullError(
                     f"session table full ({self.limits.max_sessions}); "
                     "close or evict a session first"
                 )

@@ -11,6 +11,9 @@ PYTHONHASHSEED.
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -360,6 +363,81 @@ class TestTableRegistry:
         ).warm()
         assert registry.stats()["misses"] == 1
         assert registry.stats()["hits"] == 1
+
+    def test_concurrent_cold_callers_compile_once(
+        self, cc_interleaved, traced
+    ):
+        registry = TableRegistry()
+        visible = PathLocalizer(
+            cc_interleaved, traced, engine="reference"
+        )._visible_mid
+        threads = 8
+        barrier = threading.Barrier(threads)
+        got = [None] * threads
+
+        def cold(index):
+            barrier.wait()
+            got[index] = registry.get(cc_interleaved, visible)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with perf.collect() as counters:
+                workers = [
+                    threading.Thread(target=cold, args=(i,))
+                    for i in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert registry.stats()["misses"] == 1
+        assert counters.get("localize_table_compiles") == 1
+        assert all(tables is got[0] for tables in got)
+        assert registry.stats()["hits"] == threads - 1
+
+    def test_failed_build_wakes_its_waiters(
+        self, cc_interleaved, traced, monkeypatch
+    ):
+        registry = TableRegistry()
+        visible = PathLocalizer(
+            cc_interleaved, traced, engine="reference"
+        )._visible_mid
+        started = threading.Event()
+        release = threading.Event()
+
+        def broken(*_args):
+            started.set()
+            release.wait(timeout=10.0)
+            raise MemoryError("no room for the tables")
+
+        monkeypatch.setattr(kernels, "CompiledTables", broken)
+        errors = []
+
+        def call():
+            try:
+                registry.get(cc_interleaved, visible)
+            except MemoryError as exc:
+                errors.append(exc)
+
+        builder = threading.Thread(target=call)
+        builder.start()
+        assert started.wait(timeout=10.0)
+        waiter = threading.Thread(target=call)
+        waiter.start()
+        # the waiter is counted (as a hit) before it blocks on the build
+        deadline = time.monotonic() + 10.0
+        while registry.stats()["hits"] < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        builder.join(timeout=10.0)
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert len(errors) == 2
+        assert len(registry) == 0
 
     def test_fingerprint_is_content_addressed(self, cc_flow, traced):
         # two structurally identical products fingerprint identically

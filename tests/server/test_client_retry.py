@@ -159,7 +159,7 @@ def test_eviction_triggers_transparent_replay(context):
         # outlive the idle timeout so the sweeper retires the session
         deadline = time.monotonic() + 5.0
         while time.monotonic() < deadline:
-            if handle.server._shards[0].manager.stats()["evicted"]:
+            if handle.server.core.shards[0].manager.stats()["evicted"]:
                 break
             time.sleep(0.02)
         reply = feed.feed(chunks[1])

@@ -17,6 +17,7 @@ from repro.server import (
     protocol,
 )
 from repro.server.loadgen import render_session_chunks
+from repro.server.core import SessionHost
 from repro.server.server import DebugServer
 from tests.server.conftest import start_server
 
@@ -60,11 +61,11 @@ def test_client_propagates_deadline_from_timeout():
 
 
 def test_body_deadline_validation():
-    assert DebugServer._body_deadline({}) is None
-    assert DebugServer._body_deadline({"deadline_ms": 250}) == 250
+    assert SessionHost._body_deadline({}) is None
+    assert SessionHost._body_deadline({"deadline_ms": 250}) == 250
     for bad in ("250", True, -1, 0x1_0000_0000):
         with pytest.raises(ProtocolError):
-            DebugServer._body_deadline({"deadline_ms": bad})
+            SessionHost._body_deadline({"deadline_ms": bad})
 
 
 def test_feed_payload_carries_deadline_on_the_wire():
@@ -228,7 +229,7 @@ def test_poison_session_is_quarantined_not_retried_forever(running):
         stats = client.stats()
         assert stats["counters"]["sessions_quarantined_total"] == 1
         server = running.thread.server
-        shard = server._shards[server.ring.shard_for(sid)]
+        shard = server.core.shard_for(sid)
         assert shard.manager.stats()["quarantined"] == 1
         kinds = [a["kind"] for a in stats["health"]["alerts"]]
         assert "session-quarantined" in kinds
@@ -254,12 +255,12 @@ def test_poison_strikes_are_per_session_and_below_threshold_survive(
             with pytest.raises(ServerError) as err:
                 client.feed(sid2, 1, b"poison\n")
             assert err.value.code == "poison-payload"
-        shard2 = server._shards[server.ring.shard_for(sid2)]
+        shard2 = server.core.shard_for(sid2)
         assert shard2.sessions[sid2].failures == 2
         # the struck session is still open (below the threshold) and
         # the clean session is completely unaffected
         assert client.snapshot(sid2).session_id == sid2
-        shard1 = server._shards[server.ring.shard_for(sid)]
+        shard1 = server.core.shard_for(sid)
         assert shard1.sessions[sid].failures == 0
         for i, chunk in enumerate(chunks[1:], start=1):
             client.feed(sid, i, chunk, eof=(i == len(chunks) - 1))

@@ -1,20 +1,19 @@
 """Load-generator tests: workload construction, the networked run
-(inline-thread path), and equivalence with the in-process load test --
-the two front ends share one driver, so their localization outcomes
-must be identical per seed."""
+(inline-thread path), and equivalence with the in-process shell -- one
+load test drives both, so their localization outcomes must be
+identical per seed."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import ReproError
-from repro.server import ServerConfig
+from repro.server import ServerConfig, SessionHost
 from repro.server.loadgen import (
     build_session_jobs,
     render_session_chunks,
-    run_network_load_test,
+    run_load_test,
 )
-from repro.stream.service import run_load_test
 from tests.server.conftest import start_server
 
 
@@ -42,9 +41,8 @@ def test_build_session_jobs_assigns_distinct_seeded_ids(context):
 
 
 def test_networked_load_test_inline(running):
-    report = run_network_load_test(
-        running.host,
-        running.port,
+    report = run_load_test(
+        (running.host, running.port),
         running.context,
         sessions=4,
         processes=0,
@@ -52,12 +50,11 @@ def test_networked_load_test_inline(running):
         chunk_records=2,
         seed=0,
     )
-    inner = report.report
-    assert inner.sessions == 4
+    assert report.sessions == 4
     assert not report.failures
     assert report.retries == 0
-    assert inner.total_records > 0
-    assert inner.records_per_s > 0
+    assert report.total_records > 0
+    assert report.records_per_s > 0
     summary = report.as_dict()
     assert summary["statuses"] == {"closed": 4}
     assert "p50_feed_latency_s" in summary
@@ -65,39 +62,26 @@ def test_networked_load_test_inline(running):
 
 
 def test_networked_matches_in_process_outcomes(running):
-    """Same seeds, same chunking -> identical localization fractions,
+    """Same seeds, same chunking -> identical per-session outcomes,
     whether sessions run in-process or over the wire."""
-    networked = run_network_load_test(
-        running.host,
-        running.port,
-        running.context,
-        sessions=3,
-        processes=0,
-        threads=1,
-        chunk_records=2,
-        seed=9,
+    kwargs = dict(
+        sessions=3, processes=0, threads=1, chunk_records=2, seed=9
+    )
+    networked = run_load_test(
+        (running.host, running.port), running.context, **kwargs
     )
     in_process = run_load_test(
-        running.context.interleaved,
-        running.context.traced,
-        sessions=3,
-        workers=1,
-        chunk_size=2,
-        seed=9,
+        SessionHost(running.context), running.context, **kwargs
     )
-    wire_results = sorted(
-        (o.result.consistent_paths, o.result.total_paths)
-        for o in networked.report.outcomes
-    )
-    local_results = sorted(
-        (o.result.consistent_paths, o.result.total_paths)
-        for o in in_process.outcomes
-    )
-    assert wire_results == local_results
-    assert (
-        sum(o.records for o in networked.report.outcomes)
-        == in_process.total_records
-    )
+
+    def summary(report):
+        return [
+            (o.session_id, o.result, o.status, o.records)
+            for o in report.outcomes
+        ]
+
+    assert summary(networked) == summary(in_process)
+    assert networked.total_records == in_process.total_records > 0
 
 
 def test_load_test_failures_are_reported_not_raised(context):
@@ -109,9 +93,8 @@ def test_load_test_failures_are_reported_not_raised(context):
     try:
         from repro.server import RetryPolicy
 
-        report = run_network_load_test(
-            handle.host,
-            handle.port,
+        report = run_load_test(
+            (handle.host, handle.port),
             context,
             sessions=2,
             processes=0,
@@ -121,7 +104,7 @@ def test_load_test_failures_are_reported_not_raised(context):
             policy=RetryPolicy(max_attempts=2, base_delay_s=0.01),
         )
         assert len(report.failures) == 2
-        assert report.report.sessions == 0
+        assert report.sessions == 0
         assert report.retries > 0
     finally:
         handle.thread.stop()

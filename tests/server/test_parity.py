@@ -120,3 +120,91 @@ def test_ctrace_transport_parity(context):
             client.close_session(sid)
     finally:
         handle.thread.stop()
+
+
+def test_in_process_and_tcp_replies_are_byte_identical(context):
+    """One request sequence through :meth:`SessionHost.call` and through
+    a live TCP server: every reply payload must match byte for byte --
+    both shells run the same core."""
+    import socket
+
+    from repro.compress.encoder import encode_records
+    from repro.server import SessionHost, protocol
+
+    text = render_session_chunks(context, seed=5, chunk_records=2)
+    records = synthetic_session_records(
+        context.interleaved, context.traced, seed=5
+    )
+    blob = encode_records(
+        records, scenario="parity", seed=5, traced=context.traced
+    ).data
+    step = max(1, len(blob) // 3)
+    ctrace = [blob[i : i + step] for i in range(0, len(blob), step)]
+
+    def body(**fields):
+        return protocol.encode_json(fields)
+
+    def feed(sid, index, data, eof=False):
+        return (
+            protocol.FEED_CHUNK,
+            protocol.encode_feed_payload(sid, index, data, eof),
+        )
+
+    requests = [(protocol.OPEN_SESSION, body(session_id="pt"))]
+    requests += [
+        feed("pt", i, chunk, eof=i == len(text) - 1)
+        for i, chunk in enumerate(text)
+    ]
+    requests += [
+        feed("pt", 0, text[0]),  # duplicate
+        feed("pt", len(text) + 3, b"x\n"),  # chunk gap
+        (protocol.SNAPSHOT, body(session_id="pt")),
+        (protocol.CLOSE_SESSION, body(session_id="pt")),
+        (protocol.OPEN_SESSION, body(transport="ctrace")),  # generated id
+    ]
+    requests += [
+        feed("g000001", i, piece, eof=i == len(ctrace) - 1)
+        for i, piece in enumerate(ctrace)
+    ]
+    requests += [
+        (protocol.SNAPSHOT, body(session_id="g000001")),
+        (protocol.CLOSE_SESSION, body(session_id="g000001")),
+        (protocol.SNAPSHOT, body(session_id="g000001")),  # unknown now
+    ]
+
+    config = ServerConfig(shards=2)
+    host = SessionHost(context, config)
+    local = [host.call(frame_type, payload) for frame_type, payload in
+             requests]
+
+    handle = start_server(context, config)
+    wire = []
+    try:
+        with socket.create_connection((handle.host, handle.port)) as sock:
+            assembler = protocol.FrameAssembler()
+            for seq, (frame_type, payload) in enumerate(requests, 1):
+                sock.sendall(protocol.encode_frame(frame_type, seq, payload))
+                frames = []
+                while not frames:
+                    frames = assembler.feed(sock.recv(65536))
+                assert frames[0].seq == seq
+                wire.append((frames[0].frame_type, frames[0].payload))
+    finally:
+        handle.thread.stop()
+
+    assert wire == local
+    codes = [
+        protocol.decode_json(payload).get("error")
+        for frame_type, payload in local
+        if frame_type == protocol.ERROR
+    ]
+    assert codes == ["chunk-gap", "unknown-session"]
+    assert protocol.decode_json(local[len(text) + 1][1])["duplicate"]
+    closes = [
+        protocol.decode_json(payload)
+        for (frame_type, _), (_, payload) in zip(requests, local)
+        if frame_type == protocol.CLOSE_SESSION
+    ]
+    # both transports localized the same capture
+    assert closes[0]["records"] == closes[1]["records"] > 0
+    assert closes[0]["fraction"] == closes[1]["fraction"]

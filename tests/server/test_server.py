@@ -121,9 +121,9 @@ def test_ping_and_stats(running, client):
 def test_session_routing_is_deterministic(running, client):
     # the same id always lands on the same shard (consistent hashing)
     sid = client.open_session("routed")
-    shard = running.server.ring.shard_for(sid)
+    shard = running.server.core.shard_for(sid)
     for _ in range(3):
-        assert running.server.ring.shard_for(sid) == shard
+        assert running.server.core.shard_for(sid) is shard
     client.close_session(sid)
 
 
@@ -316,7 +316,7 @@ def test_sessions_idle_evicted(context):
             sid = client.open_session("idler")
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                shard_stats = handle.server._shards[0].manager.stats()
+                shard_stats = handle.server.core.shards[0].manager.stats()
                 if shard_stats["evicted"] >= 1:
                     break
                 time.sleep(0.02)
@@ -327,3 +327,64 @@ def test_sessions_idle_evicted(context):
             assert excinfo.value.code == "unknown-session"
     finally:
         handle.thread.stop()
+
+
+def test_full_session_table_is_backpressure_not_a_taken_id(context):
+    """Two opens routed before either applies (as concurrent TCP
+    requests are) pass the global cap; the shard's full table then
+    answers the second with RETRY_LATER, while reopening a live id is
+    the terminal ``session-exists`` error."""
+    from repro.server import SessionHost, protocol
+
+    host = SessionHost(context, ServerConfig(shards=1, max_sessions=1))
+
+    def open_op(sid):
+        _shard, op, _is_feed, _deadline = host.route(
+            protocol.OPEN_SESSION,
+            protocol.encode_json({"session_id": sid}),
+        )
+        return op
+
+    first, second = open_op("a"), open_op("b")
+    assert first()[0] == protocol.OK
+    frame_type, payload = second()
+    assert frame_type == protocol.RETRY_LATER
+    assert protocol.decode_json(payload)["reason"] == "session-table-full"
+    # with room in the table, reopening a live id is terminal
+    roomy = SessionHost(context, ServerConfig(shards=1))
+    request = protocol.encode_json({"session_id": "a"})
+    assert roomy.call(protocol.OPEN_SESSION, request)[0] == protocol.OK
+    frame_type, payload = roomy.call(protocol.OPEN_SESSION, request)
+    assert frame_type == protocol.ERROR
+    assert protocol.decode_json(payload)["error"] == "session-exists"
+
+
+def test_generated_session_ids_are_unique_across_threads(context):
+    """In-process callers open sessions from many threads at once; the
+    core's generated ids must never collide."""
+    import sys
+    import threading
+
+    from repro.server import InProcessClient, SessionHost
+
+    host = SessionHost(context, ServerConfig(shards=2, max_sessions=64))
+    opened = []
+
+    def opener():
+        with InProcessClient(host) as client:
+            for _ in range(8):
+                opened.append(client.open_session())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=opener) for _ in range(8)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(opened) == len(set(opened)) == 64
+    assert host.open_sessions() == 64

@@ -235,7 +235,7 @@ class TestEvictionSpill:
         while time.monotonic() < deadline:
             if any(
                 shard.store is not None and shard.store.spills
-                for shard in running.server._shards
+                for shard in running.server.core.shards
             ):
                 return
             time.sleep(0.02)
@@ -312,10 +312,11 @@ class TestEvictionSpill:
             client.feed("sleeper", 0, chunks[0])
             self.wait_for_spill(first)
             # force the spill map into a durable snapshot
-            for shard in first.server._shards:
+            server = first.server
+            for shard in server.core.shards:
                 if shard.store is not None and shard.store.spilled_ids():
-                    shard.executor.submit(
-                        first.server._snapshot_shard, shard
+                    server._lanes[shard.index].executor.submit(
+                        server.core.snapshot_shard, shard
                     ).result(timeout=10.0)
         first.thread.stop(drain=False, abort=True)
 

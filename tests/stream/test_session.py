@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.message import IndexedMessage
-from repro.errors import StreamError
+from repro.errors import SessionTableFullError, StreamError
 from repro.runtime.telemetry import clear_runs, recent_runs
 from repro.sim.engine import TransactionSimulator
 from repro.stream.session import (
@@ -97,8 +97,16 @@ class TestLimits:
     def test_max_sessions_enforced(self, manager):
         for _ in range(3):
             manager.open()
-        with pytest.raises(StreamError, match="session table full"):
+        with pytest.raises(SessionTableFullError, match="table full"):
             manager.open()
+        with pytest.raises(SessionTableFullError, match="table full"):
+            manager.adopt("late")
+
+    def test_taken_id_is_not_a_full_table(self, manager):
+        sid = manager.open()
+        with pytest.raises(StreamError) as err:
+            manager.open(sid)
+        assert not isinstance(err.value, SessionTableFullError)
 
     def test_idle_eviction_frees_capacity(self, manager, clock):
         stale = manager.open()

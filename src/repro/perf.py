@@ -43,12 +43,18 @@ Localization-kernel counter registry (reported by
 * ``localize_step_memo_hits`` / ``localize_step_memo_misses`` -- the
   content-keyed per-step memo shared across sessions;
 * ``localize_table_hits`` / ``localize_table_misses`` /
-  ``localize_table_compiles`` / ``localize_table_bytes`` -- the
-  cross-shard :class:`~repro.selection.kernels.TableRegistry`;
+  ``localize_table_waits`` / ``localize_table_compiles`` /
+  ``localize_table_bytes`` -- the cross-shard
+  :class:`~repro.selection.kernels.TableRegistry`;
+* ``localize_table_disk_hits`` / ``localize_table_disk_rejects`` --
+  tables the registry loaded from the runtime artifact cache, and
+  persisted entries it rejected (checksum or format) and recompiled;
 * ``localize_window_memo_hits`` -- reused window-mode count tables;
 * ``localize_dp_steps`` -- the reference engine's dict-walk steps
   (kept for before/after comparisons);
-* timed stage ``localize_compile`` -- table compilation wall time.
+* timed stages ``localize_compile`` -- table compilation wall time
+  (real compiles only) -- and ``localize_table_load`` -- reading
+  persisted tables from the runtime artifact cache.
 """
 
 from __future__ import annotations

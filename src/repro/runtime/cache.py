@@ -10,7 +10,8 @@ treated as a miss, never propagated to the caller.
 
 The in-memory LRU front keeps the hottest artifacts as live objects,
 which also preserves identity: two ``get_or_compute`` calls for the
-same key in one process return the *same* object.
+same key in one process return the *same* object -- concurrent cold
+callers included, since each key is computed once while they wait.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -28,6 +30,10 @@ from typing import Any, Callable, Dict, Optional, Tuple
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 _PICKLE_SUFFIX = ".pkl"
+
+#: Outcomes of :meth:`ArtifactCache.lookup`: a hit in the memory front
+#: or on disk, no entry, or an unreadable entry (discarded).
+MEMORY, DISK, MISS, CORRUPT = "memory", "disk", "miss", "corrupt"
 
 
 def resolve_cache_dir(directory: Optional[os.PathLike] = None) -> Path:
@@ -127,43 +133,84 @@ class ArtifactCache:
         self.stats = CacheStats()
         self._memory: "OrderedDict[str, Any]" = OrderedDict()
         self._lock = threading.RLock()
+        #: ``get_or_compute`` computations in flight, by key.
+        self._computing: Dict[str, "Future[Any]"] = {}
 
     # ------------------------------------------------------------------
     # core protocol
     # ------------------------------------------------------------------
     def get(self, key: str) -> Tuple[bool, Any]:
         """``(found, value)`` -- a miss returns ``(False, None)``."""
+        outcome, value = self.lookup(key)
+        return outcome in (MEMORY, DISK), value
+
+    def lookup(self, key: str, *, memory: bool = True) -> Tuple[str, Any]:
+        """``(outcome, value)``: outcome is :data:`MEMORY` or
+        :data:`DISK` on a hit, :data:`MISS` when there is no entry and
+        :data:`CORRUPT` when an unreadable entry was discarded (value
+        ``None`` for both).
+
+        With ``memory=False`` the LRU front is neither read nor filled:
+        for large artifacts whose live copy the caller keeps itself.
+        """
         with self._lock:
-            if key in self._memory:
+            if memory and key in self._memory:
                 self._memory.move_to_end(key)
                 self.stats.memory_hits += 1
-                return True, self._memory[key]
+                return MEMORY, self._memory[key]
+            outcome, value = MISS, None
             if self.persist:
-                found, value = self._disk_load(key)
-                if found:
-                    self.stats.disk_hits += 1
+                outcome, value = self._disk_load(key)
+            if outcome == DISK:
+                self.stats.disk_hits += 1
+                if memory:
                     self._memory_put(key, value)
-                    return True, value
-            self.stats.misses += 1
-            return False, None
+            else:
+                self.stats.misses += 1
+            return outcome, value
 
-    def put(self, key: str, value: Any) -> None:
-        """Store *value* under *key* in both layers."""
+    def put(self, key: str, value: Any, *, memory: bool = True) -> None:
+        """Store *value* under *key* in both layers (on disk only with
+        ``memory=False``)."""
         with self._lock:
-            self._memory_put(key, value)
+            if memory:
+                self._memory_put(key, value)
             if self.persist:
                 self._disk_store(key, value)
             self.stats.stores += 1
 
     def get_or_compute(self, key: str, compute: Callable[[], Any]) -> Any:
         """Return the cached value for *key*, computing and storing it
-        on a miss.  The computation runs outside the cache lock."""
-        found, value = self.get(key)
-        if found:
+        on a miss.  The computation runs outside the cache lock.
+
+        Each key is computed once: callers arriving while it computes
+        wait for it (counted as memory hits) and get the same object;
+        a computation that raises wakes them with its error and stores
+        nothing."""
+        with self._lock:
+            pending = self._computing.get(key)
+            owner = pending is None
+            if owner:
+                found, value = self.get(key)
+                if found:
+                    return value
+                pending = self._computing[key] = Future()
+            else:
+                self.stats.memory_hits += 1
+        if not owner:
+            return pending.result()
+        try:
+            value = compute()
+            self.put(key, value)
+        except BaseException as exc:
+            pending.set_exception(exc)
+            raise
+        else:
+            pending.set_result(value)
             return value
-        value = compute()
-        self.put(key, value)
-        return value
+        finally:
+            with self._lock:
+                del self._computing[key]
 
     def invalidate(self, key: str) -> bool:
         """Drop *key* from both layers; ``True`` if anything existed."""
@@ -245,13 +292,13 @@ class ArtifactCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}{_PICKLE_SUFFIX}"
 
-    def _disk_load(self, key: str) -> Tuple[bool, Any]:
+    def _disk_load(self, key: str) -> Tuple[str, Any]:
         path = self._path(key)
         try:
             with path.open("rb") as stream:
-                return True, pickle.load(stream)
+                return DISK, pickle.load(stream)
         except FileNotFoundError:
-            return False, None
+            return MISS, None
         except Exception:
             # truncated/corrupt/incompatible entry: discard and recompute
             self.stats.load_errors += 1
@@ -259,7 +306,7 @@ class ArtifactCache:
                 path.unlink()
             except OSError:
                 pass
-            return False, None
+            return CORRUPT, None
 
     def _disk_store(self, key: str, value: Any) -> None:
         try:

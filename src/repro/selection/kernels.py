@@ -43,7 +43,10 @@ sessions and shard lanes through a content-addressed
 fingerprint -- previously every
 :class:`~repro.stream.session.SessionManager` (one per server shard)
 rebuilt identical DP tables.  The registry exports hit/miss/byte
-counters for the service metrics plane.
+counters for the service metrics plane.  On the numpy backend it also
+persists each table set's arrays in the runtime artifact cache under
+the same fingerprint (checksummed), so a fresh process loads them
+instead of recompiling.
 
 Engine selection is controlled by the ``REPRO_LOCALIZE_ENGINE``
 environment variable (``dense``, the default, or ``reference`` -- the
@@ -55,7 +58,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+import pickle
+import sys
 import threading
+import zlib
 from array import array
 from collections import OrderedDict
 from concurrent.futures import Future
@@ -63,8 +69,9 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import perf
 from repro.core.interleave import InterleavedFlow
-from repro.core.message import Message
+from repro.core.message import IndexedMessage, Message
 from repro.errors import SelectionError
+from repro.runtime.cache import CORRUPT, DISK, ArtifactCache, default_cache
 
 try:  # numpy is optional: the pure-Python kernels are the fallback
     import numpy as _np
@@ -156,60 +163,98 @@ def table_fingerprint(
     return digest.hexdigest()
 
 
+#: Version of the persisted table payload (:meth:`CompiledTables.
+#: payload`); bump it whenever the payload's layout or meaning changes.
+TABLE_FORMAT = 1
+
+_PAYLOAD_FIELDS = (
+    "byteorder",
+    "num_states",
+    "step_growth",
+    "closure_growth",
+    "mids",
+    "plain_mids",
+)
+
+
+def _payload_crc(payload: Mapping[str, object]) -> int:
+    """``zlib.crc32`` over a table payload's fields, array lengths and
+    array bytes -- read through buffer views, so no array is copied."""
+    arrays = payload["arrays"]
+    fields = tuple(payload[name] for name in _PAYLOAD_FIELDS) + (
+        tuple(memoryview(arr).nbytes for arr in arrays),
+    )
+    crc = zlib.crc32(repr(fields).encode("ascii"))
+    for arr in arrays:
+        crc = zlib.crc32(arr, crc)
+    return crc
+
+
 # ----------------------------------------------------------------------
 # compiled operators
 # ----------------------------------------------------------------------
-def _sorted_runs(
+def _sorted_edges(
     pairs: List[Tuple[int, int]],
-) -> Tuple[List[int], List[int], Dict[int, Tuple[int, int]]]:
-    """Sort ``(source, target)`` pairs and index each source's
-    contiguous run: ``(sources, targets, {source: (lo, hi)})``."""
+) -> Tuple[List[int], List[int], int]:
+    """Sort ``(source, target)`` pairs: ``(sources, targets, growth)``,
+    where ``growth`` is the largest number of edges sharing a target
+    (the exact per-step weight amplification the overflow guard
+    uses)."""
     pairs = sorted(pairs)
-    sources = [s for s, _ in pairs]
     targets = [t for _, t in pairs]
+    multiplicity: Dict[int, int] = {}
+    for t in targets:
+        multiplicity[t] = multiplicity.get(t, 0) + 1
+    return (
+        [s for s, _ in pairs],
+        targets,
+        max(multiplicity.values(), default=0),
+    )
+
+
+def _indexable(values):
+    """*values* for per-element reads by the pure-Python kernels: a
+    list as is, an array through a zero-copy :class:`memoryview` (whose
+    items are plain ints)."""
+    return values if isinstance(values, list) else memoryview(values)
+
+
+def _run_bounds(sources) -> Dict[int, Tuple[int, int]]:
+    """Each source's contiguous run in a sorted source sequence (a list
+    or an array's memoryview): ``{source: (lo, hi)}``."""
     ranges: Dict[int, Tuple[int, int]] = {}
     lo = 0
-    for i in range(1, len(pairs) + 1):
-        if i == len(pairs) or sources[i] != sources[lo]:
+    for i in range(1, len(sources) + 1):
+        if i == len(sources) or sources[i] != sources[lo]:
             ranges[sources[lo]] = (lo, i)
             lo = i
-    return sources, targets, ranges
+    return ranges
 
 
 class _Operator:
     """One observable symbol's visible edges, sorted by source state.
 
-    ``growth`` is the largest number of edges sharing a target (the
-    exact per-step weight amplification the overflow guard uses).  On
-    the numpy backend ``src``/``tgt`` are read-only ``int64`` arrays;
-    the pure-Python kernels use ``ranges`` (source -> run bounds) and
-    ``tgt_list`` directly.
+    ``src``/``tgt`` are read-only ``int64`` arrays on the numpy backend
+    and lists on the pure-Python one.  The pure-Python kernels walk
+    ``ranges`` (source -> run bounds) and ``tgt_list``, which
+    :meth:`CompiledTables._ensure_python_fallback` derives from the
+    arrays on first use.
     """
 
-    __slots__ = ("src", "tgt", "tgt_list", "ranges", "growth", "edges")
+    __slots__ = ("src", "tgt", "tgt_list", "ranges")
 
-    def __init__(self, pairs: List[Tuple[int, int]]) -> None:
-        sources, self.tgt_list, self.ranges = _sorted_runs(pairs)
-        self.edges = len(sources)
-        multiplicity: Dict[int, int] = {}
-        for t in self.tgt_list:
-            multiplicity[t] = multiplicity.get(t, 0) + 1
-        self.growth = max(multiplicity.values(), default=0)
-        if have_numpy():
-            self.src = _np.asarray(sources, dtype=_np.int64)
-            self.tgt = _np.asarray(self.tgt_list, dtype=_np.int64)
-            self.src.flags.writeable = False
-            self.tgt.flags.writeable = False
-        else:
-            self.src = None
-            self.tgt = None
+    def __init__(self, src, tgt) -> None:
+        self.src = src
+        self.tgt = tgt
+        self.tgt_list: Optional[Sequence[int]] = None
+        self.ranges: Optional[Dict[int, Tuple[int, int]]] = None
 
     def __len__(self) -> int:
-        return self.edges
+        return len(self.src)
 
     @property
     def nbytes(self) -> int:
-        return 16 * self.edges
+        return 16 * len(self.src)
 
 
 class _StepResult:
@@ -272,113 +317,69 @@ class CompiledTables:
 
     Immutable after construction (numpy arrays are marked read-only),
     so one instance is safely shared across every session and shard
-    lane localizing the same scenario.  Built by
-    :class:`TableRegistry`; the heavy part is the invisible-closure
-    transitive path-count matrix, computed once here instead of being
-    re-walked per observed symbol by the reference engine.
+    lane localizing the same scenario.  The one constructor takes the
+    arrays: :func:`compile_tables` builds them (the heavy part is the
+    invisible-closure transitive path-count matrix, computed once there
+    instead of being re-walked per observed symbol by the reference
+    engine), :meth:`from_payload` reads them back from the runtime
+    cache.
+
+    *mid_ops* maps a message ID to its operator's ``(src, tgt)``;
+    *plain_ops* does the same for the merged operator of each plain
+    message, keyed by the first message ID of that message.  *closure*
+    is the ``(src, tgt, weight)`` triplet of the closure matrix.  The
+    arrays are read-only ``int64`` numpy arrays, or lists on the
+    pure-Python backend.  *step_growth* and *closure_growth* bound one
+    advance's weight amplification (the exact int64-overflow guard).
     """
 
     def __init__(
-        self, interleaved: InterleavedFlow, visible_mid: Sequence[bool]
+        self,
+        messages: Sequence[IndexedMessage],
+        num_states: int,
+        mid_ops: Mapping[int, Tuple[object, object]],
+        plain_ops: Mapping[int, Tuple[object, object]],
+        closure: Tuple[object, object, object],
+        step_growth: int,
+        closure_growth: int,
     ) -> None:
-        offsets, msg_ids, targets = interleaved.csr_adjacency()
-        n = len(offsets) - 1
-        self.num_states = n
-
-        # visible edges grouped by message ID
-        by_mid: Dict[int, List[Tuple[int, int]]] = {}
-        invisible: List[List[int]] = [[] for _ in range(n)]
-        for sid in range(n):
-            for e in range(offsets[sid], offsets[sid + 1]):
-                mid = msg_ids[e]
-                if visible_mid[mid]:
-                    by_mid.setdefault(mid, []).append((sid, targets[e]))
-                else:
-                    invisible[sid].append(targets[e])
+        self.num_states = num_states
         self.op_by_mid: Dict[int, _Operator] = {
-            mid: _Operator(pairs) for mid, pairs in by_mid.items()
+            mid: _Operator(src, tgt) for mid, (src, tgt) in mid_ops.items()
         }
-        # merged operators for plain (un-indexed) observations: the
-        # union of every instance's edges
-        table = interleaved.indexed_messages
-        plain_pairs: Dict[Message, List[Tuple[int, int]]] = {}
-        for mid, pairs in by_mid.items():
-            plain_pairs.setdefault(table[mid].message, []).extend(pairs)
+        self._plain_ops: Dict[int, _Operator] = {
+            mid: _Operator(src, tgt) for mid, (src, tgt) in plain_ops.items()
+        }
         self.op_by_plain: Dict[Message, _Operator] = {
-            message: _Operator(pairs)
-            for message, pairs in plain_pairs.items()
+            messages[mid].message: op for mid, op in self._plain_ops.items()
         }
-
-        # invisible-closure path counts: source-sorted triplets of
-        # paths(i -> j) over non-traced edges (j != i; the identity
-        # term is implicit in the ``closed = matched + ...``
-        # application), built by a reverse-topological DP
-        order = interleaved.topological_ids()
-        rows: List[Optional[Dict[int, int]]] = [None] * n
-        csrc: List[int] = []
-        ctgt: List[int] = []
-        cweight: List[int] = []
-        cranges: Dict[int, Tuple[int, int]] = {}
-        for sid in reversed(order):
-            row: Dict[int, int] = {}
-            for t in invisible[sid]:
-                row[t] = row.get(t, 0) + 1
-                inner = rows[t]
-                if inner:
-                    for j, w in inner.items():
-                        row[j] = row.get(j, 0) + w
-            rows[sid] = row
-        col_sums: Dict[int, int] = {}
-        for sid in range(n):
-            row = rows[sid]
-            if not row:
-                continue
-            lo = len(csrc)
-            for j in sorted(row):
-                csrc.append(sid)
-                ctgt.append(j)
-                cweight.append(row[j])
-                col_sums[j] = col_sums.get(j, 0) + row[j]
-            cranges[sid] = (lo, len(csrc))
-        self.closure_entries = len(ctgt)
-        self._ctgt_list = ctgt
-        self._cweight_list = cweight
-        self._cranges = cranges
+        self._csrc, self._ctgt, self._cweight = closure
+        self._numpy = not isinstance(self._ctgt, list)
+        self.closure_entries = len(self._ctgt)
 
         # exact int64-overflow guard: one advance multiplies the peak
         # weight by at most step_growth (matched scatter-add) and then
         # by closure_growth (worst closure column sum plus the
         # identity term)
-        step_growth = max(
-            (op.growth for op in self.op_by_mid.values()), default=0
-        )
-        step_growth = max(
-            step_growth,
-            max((op.growth for op in self.op_by_plain.values()), default=0),
-        )
-        closure_growth = 1 + max(col_sums.values(), default=0)
+        self.step_growth = step_growth
+        self.closure_growth = closure_growth
         growth = max(1, step_growth) * closure_growth
         self.int64_limit = (
             _INT64_MAX // growth if growth <= _INT64_MAX else 0
         )
 
-        self._numpy = have_numpy()
-        if self._numpy:
-            self._csrc = _np.asarray(csrc, dtype=_np.int64)
-            self._ctgt = _np.asarray(ctgt, dtype=_np.int64)
-            self._cweight = _np.asarray(cweight, dtype=_np.int64)
-            for arr in (self._csrc, self._ctgt, self._cweight):
-                arr.flags.writeable = False
-            if int(self._cweight.max(initial=0)) != max(cweight, default=0):
-                # closure weights themselves exceed int64 (pathological
-                # products); numpy can never be safe here
-                self.int64_limit = 0  # pragma: no cover - astronomical
-
         self.nbytes = (
-            sum(op.nbytes for op in self.op_by_mid.values())
-            + sum(op.nbytes for op in self.op_by_plain.values())
-            + 24 * len(ctgt)
+            sum(op.nbytes for op in self._operators())
+            + 24 * self.closure_entries
         )
+
+        # the pure-Python kernels' closure structures (and each
+        # operator's tgt_list/ranges), derived on first use by
+        # _ensure_python_fallback
+        self._python_lock = threading.Lock()
+        self._ctgt_list: Optional[Sequence[int]] = None
+        self._cweight_list: Optional[Sequence[int]] = None
+        self._cranges: Optional[Dict[int, Tuple[int, int]]] = None
 
         # content-keyed step memo: sessions localizing the same
         # scenario share not just the tables but the hot DP steps --
@@ -390,8 +391,91 @@ class CompiledTables:
         self._memo: "OrderedDict[Tuple[int, bytes, bytes], _StepResult]" = (
             OrderedDict()
         )
-        perf.add("localize_table_compiles")
         perf.add("localize_table_bytes", self.nbytes)
+
+    def _operators(self) -> List[_Operator]:
+        return [*self.op_by_mid.values(), *self._plain_ops.values()]
+
+    def _ensure_python_fallback(self) -> None:
+        """Derive the pure-Python kernels' structures from the arrays,
+        once, under the table's lock.  On the numpy backend only a step
+        whose weights could overflow int64 runs those kernels, so a
+        table that never needs them never builds them; and they read
+        the arrays through memoryviews, so only the run-bound dicts
+        take memory."""
+        if self._cranges is not None:
+            return
+        with self._python_lock:
+            if self._cranges is not None:
+                return
+            for op in self._operators():
+                op.tgt_list = _indexable(op.tgt)
+                op.ranges = _run_bounds(_indexable(op.src))
+            self._ctgt_list = _indexable(self._ctgt)
+            self._cweight_list = _indexable(self._cweight)
+            # published last: the unlocked check above reads it
+            self._cranges = _run_bounds(_indexable(self._csrc))
+
+    # ------------------------------------------------------------------
+    # persistence (numpy backend only)
+    # ------------------------------------------------------------------
+    def payload(self) -> Dict[str, object]:
+        """The tables as plain data for the runtime cache.
+
+        The arrays go in as :class:`pickle.PickleBuffer` views, so
+        pickling writes them straight from the tables' memory and
+        unpickling yields :class:`bytes` -- no class instances, and no
+        copy of the arrays on either side.  ``crc`` is a ``zlib.crc32``
+        over every field and array (:func:`_payload_crc`).
+        """
+        arrays = [self._csrc, self._ctgt, self._cweight]
+        for op in self._operators():
+            arrays += [op.src, op.tgt]
+        payload: Dict[str, object] = {
+            "byteorder": sys.byteorder,
+            "num_states": self.num_states,
+            "step_growth": self.step_growth,
+            "closure_growth": self.closure_growth,
+            "mids": list(self.op_by_mid),
+            "plain_mids": list(self._plain_ops),
+            "arrays": [pickle.PickleBuffer(arr) for arr in arrays],
+        }
+        payload["crc"] = _payload_crc(payload)
+        return payload
+
+    @classmethod
+    def from_payload(
+        cls, interleaved: InterleavedFlow, payload: object
+    ) -> Optional["CompiledTables"]:
+        """The tables a :meth:`payload` describes, or ``None`` when it
+        does not check out (byte order, shape or checksum)."""
+        try:
+            if (
+                payload["byteorder"] != sys.byteorder
+                or payload["num_states"] != interleaved.num_states
+                or payload["crc"] != _payload_crc(payload)
+            ):
+                return None
+            arrays = []
+            for buffer in payload["arrays"]:
+                arr = _np.frombuffer(buffer, dtype=_np.int64)
+                arr.flags.writeable = False
+                arrays.append(arr)
+            mids, plain = payload["mids"], payload["plain_mids"]
+            if len(arrays) != 3 + 2 * (len(mids) + len(plain)):
+                return None
+            pairs = list(zip(arrays[3::2], arrays[4::2]))
+            return cls(
+                interleaved.indexed_messages,
+                payload["num_states"],
+                dict(zip(mids, pairs[: len(mids)])),
+                dict(zip(plain, pairs[len(mids):])),
+                (arrays[0], arrays[1], arrays[2]),
+                payload["step_growth"],
+                payload["closure_growth"],
+            )
+        except (KeyError, IndexError, TypeError, ValueError):
+            return None
 
     # ------------------------------------------------------------------
     # vector plumbing
@@ -530,6 +614,7 @@ class CompiledTables:
     def _advance_python(
         self, closed_vec: Dict[int, int], op: _Operator
     ) -> _StepResult:
+        self._ensure_python_fallback()
         matched: Dict[int, int] = {}
         edges = 0
         tgt = op.tgt_list
@@ -555,6 +640,97 @@ class CompiledTables:
         return _StepResult(matched, closed, len(closed))
 
 
+def compile_tables(
+    interleaved: InterleavedFlow, visible_mid: Sequence[bool]
+) -> CompiledTables:
+    """Compile the localization tables of ``(interleaved, visible
+    set)`` -- what :class:`TableRegistry` does when neither memory nor
+    the runtime cache holds them."""
+    offsets, msg_ids, targets = interleaved.csr_adjacency()
+    n = len(offsets) - 1
+
+    # visible edges grouped by message ID
+    by_mid: Dict[int, List[Tuple[int, int]]] = {}
+    invisible: List[List[int]] = [[] for _ in range(n)]
+    for sid in range(n):
+        for e in range(offsets[sid], offsets[sid + 1]):
+            mid = msg_ids[e]
+            if visible_mid[mid]:
+                by_mid.setdefault(mid, []).append((sid, targets[e]))
+            else:
+                invisible[sid].append(targets[e])
+    # merged operators for plain (un-indexed) observations: the union
+    # of every instance's edges, keyed by the message's first ID
+    table = interleaved.indexed_messages
+    first_mid: Dict[Message, int] = {}
+    plain_pairs: Dict[int, List[Tuple[int, int]]] = {}
+    for mid, pairs in by_mid.items():
+        key = first_mid.setdefault(table[mid].message, mid)
+        plain_pairs.setdefault(key, []).extend(pairs)
+
+    # invisible-closure path counts: source-sorted triplets of
+    # paths(i -> j) over non-traced edges (j != i; the identity term
+    # is implicit in the ``closed = matched + ...`` application),
+    # built by a reverse-topological DP
+    order = interleaved.topological_ids()
+    rows: List[Optional[Dict[int, int]]] = [None] * n
+    csrc: List[int] = []
+    ctgt: List[int] = []
+    cweight: List[int] = []
+    for sid in reversed(order):
+        row: Dict[int, int] = {}
+        for t in invisible[sid]:
+            row[t] = row.get(t, 0) + 1
+            inner = rows[t]
+            if inner:
+                for j, w in inner.items():
+                    row[j] = row.get(j, 0) + w
+        rows[sid] = row
+    col_sums: Dict[int, int] = {}
+    for sid in range(n):
+        row = rows[sid]
+        if not row:
+            continue
+        for j in sorted(row):
+            csrc.append(sid)
+            ctgt.append(j)
+            cweight.append(row[j])
+            col_sums[j] = col_sums.get(j, 0) + row[j]
+    del rows
+
+    # closure weights beyond int64 (pathological products) keep the
+    # tables on the pure-Python kernels
+    numpy = have_numpy() and max(cweight, default=0) <= _INT64_MAX
+
+    def frozen(values: List[int]):
+        if not numpy:
+            return values
+        arr = _np.asarray(values, dtype=_np.int64)
+        arr.flags.writeable = False
+        return arr
+
+    step_growth = 0
+    mid_ops: Dict[int, Tuple[object, object]] = {}
+    plain_ops: Dict[int, Tuple[object, object]] = {}
+    for grouped, ops in ((by_mid, mid_ops), (plain_pairs, plain_ops)):
+        for mid, pairs in grouped.items():
+            src, tgt, growth = _sorted_edges(pairs)
+            ops[mid] = (frozen(src), frozen(tgt))
+            step_growth = max(step_growth, growth)
+
+    tables = CompiledTables(
+        table,
+        n,
+        mid_ops,
+        plain_ops,
+        (frozen(csrc), frozen(ctgt), frozen(cweight)),
+        step_growth,
+        1 + max(col_sums.values(), default=0),
+    )
+    perf.add("localize_table_compiles")
+    return tables
+
+
 # ----------------------------------------------------------------------
 # the cross-shard registry
 # ----------------------------------------------------------------------
@@ -569,6 +745,15 @@ class TableRegistry:
     per scenario instead of each rebuilding it.  ``stats()`` feeds the
     service metrics plane (``STATS`` frame, ``/metrics``, ``repro
     profile --json``).
+
+    On the numpy backend the registry is backed by the runtime
+    artifact cache (:func:`~repro.runtime.cache.default_cache`): a
+    miss first loads the tables' :meth:`CompiledTables.payload` from
+    the entry ``localize-tables-<TABLE_FORMAT>-<fingerprint>``
+    (``disk_hits``) and compiles only when there is none, storing what
+    it compiled.  An entry that fails its checksum, byte-order or
+    shape check is counted in ``disk_rejects``, recompiled and
+    rewritten.
     """
 
     def __init__(self, max_tables: int = 32) -> None:
@@ -580,23 +765,26 @@ class TableRegistry:
         self._tables: "OrderedDict[str, CompiledTables]" = OrderedDict()
         #: Builds in flight, by fingerprint: a cold caller publishes one
         #: here under the lock, so concurrent cold callers wait for its
-        #: tables instead of each compiling a private copy.
+        #: tables instead of each loading or compiling a private copy.
         self._building: Dict[str, "Future[CompiledTables]"] = {}
         self._max_tables = max_tables
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._disk_hits = 0
+        self._disk_rejects = 0
 
     def get(
         self, interleaved: InterleavedFlow, visible_mid: Sequence[bool]
     ) -> CompiledTables:
         """The compiled tables for ``(interleaved, visible set)`` --
-        cached by content hash, built (and published) on first use.
+        cached by content hash, loaded or built (and published) on
+        first use.
 
-        Each fingerprint is compiled once: callers arriving while it
-        builds block on the in-flight build (counted as hits, and as
-        ``localize_table_waits``) and get the same object; a build
-        that raises wakes them with its error."""
+        Each fingerprint is loaded or compiled once: callers arriving
+        while it builds block on the in-flight build (counted as hits,
+        and as ``localize_table_waits``) and get the same object; a
+        build that raises wakes them with its error."""
         key = table_fingerprint(interleaved, visible_mid)
         owner = False
         with self._lock:
@@ -617,9 +805,16 @@ class TableRegistry:
             perf.add("localize_table_waits")
             return build.result()
         perf.add("localize_table_misses")
+        cache = default_cache() if have_numpy() else None
+        entry = f"localize-tables-{TABLE_FORMAT}-{key}"
+        built = None
         try:
-            with perf.timed("localize_compile"):
-                built = CompiledTables(interleaved, visible_mid)
+            if cache is not None:
+                built = self._load(cache, entry, interleaved)
+            compiled = built is None
+            if compiled:
+                with perf.timed("localize_compile"):
+                    built = compile_tables(interleaved, visible_mid)
         except BaseException as exc:
             with self._lock:
                 del self._building[key]
@@ -632,7 +827,33 @@ class TableRegistry:
                 self._tables.popitem(last=False)
                 self._evictions += 1
         build.set_result(built)
+        # stored after the waiters are released; a failed write (say,
+        # a read-only cache directory) only costs the next process a
+        # compile
+        if compiled and cache is not None and built._numpy:
+            cache.put(entry, built.payload(), memory=False)
         return built
+
+    def _load(
+        self, cache: ArtifactCache, entry: str, interleaved: InterleavedFlow
+    ) -> Optional[CompiledTables]:
+        """The tables persisted under *entry* in *cache*, or ``None``."""
+        with perf.timed("localize_table_load"):
+            outcome, payload = cache.lookup(entry, memory=False)
+            tables = (
+                CompiledTables.from_payload(interleaved, payload)
+                if outcome == DISK
+                else None
+            )
+        if tables is not None:
+            with self._lock:
+                self._disk_hits += 1
+            perf.add("localize_table_disk_hits")
+        elif outcome in (DISK, CORRUPT):
+            with self._lock:
+                self._disk_rejects += 1
+            perf.add("localize_table_disk_rejects")
+        return tables
 
     def __len__(self) -> int:
         with self._lock:
@@ -647,11 +868,14 @@ class TableRegistry:
         with self._lock:
             tables = list(self._tables.values())
             hits, misses, evictions = self._hits, self._misses, self._evictions
+            disk_hits, disk_rejects = self._disk_hits, self._disk_rejects
         return {
             "tables": len(tables),
             "hits": hits,
             "misses": misses,
             "evictions": evictions,
+            "disk_hits": disk_hits,
+            "disk_rejects": disk_rejects,
             "bytes": sum(t.nbytes for t in tables),
             "closure_entries": sum(t.closure_entries for t in tables),
             "step_memo_entries": sum(len(t._memo) for t in tables),

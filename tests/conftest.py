@@ -33,6 +33,24 @@ def _isolated_artifact_cache(tmp_path_factory):
 
 
 @pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty runtime artifact cache for one test.
+
+    Points ``REPRO_CACHE_DIR`` at a new temp dir and resets the
+    process-wide cache, so localization tables an earlier test
+    persisted cannot turn a counted compile into a disk load.  Yields
+    the directory.
+    """
+    from repro.runtime.cache import set_default_cache
+
+    directory = tmp_path / "repro-cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(directory))
+    set_default_cache(None)
+    yield directory
+    set_default_cache(None)
+
+
+@pytest.fixture
 def cc_flow() -> Flow:
     """The cache-coherence flow of Figure 1a."""
     return toy_cache_coherence_flow()

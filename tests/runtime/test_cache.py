@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import pytest
 
@@ -52,6 +54,72 @@ class TestHitMiss:
         found, value = second.get("k")
         assert found and value == [1, 2, 3]
         assert second.stats.disk_hits == 1
+
+
+class TestSingleFlight:
+    THREADS = 8
+
+    def race(self, cache, compute):
+        """THREADS callers of one cold key, released by a barrier:
+        each one's result or exception."""
+        barrier = threading.Barrier(self.THREADS)
+        got = [None] * self.THREADS
+
+        def call(index):
+            barrier.wait()
+            try:
+                got[index] = cache.get_or_compute("k", compute)
+            except Exception as exc:  # collected, checked below
+                got[index] = exc
+
+        workers = [
+            threading.Thread(target=call, args=(i,))
+            for i in range(self.THREADS)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+        assert not any(worker.is_alive() for worker in workers)
+        return got
+
+    def all_waiting(self, cache):
+        """Block until every other caller waits on the computation
+        (each is counted as a memory hit before it blocks)."""
+        deadline = time.monotonic() + 10.0
+        while cache.stats.memory_hits < self.THREADS - 1:
+            assert time.monotonic() < deadline, "callers never arrived"
+            time.sleep(0.001)
+
+    def test_concurrent_cold_callers_compute_once(self, cache):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            self.all_waiting(cache)
+            return object()
+
+        got = self.race(cache, compute)
+        assert len(calls) == 1
+        assert all(value is got[0] for value in got)
+        assert cache.get("k") == (True, got[0])
+
+    def test_failed_compute_wakes_waiters_and_stores_nothing(self, cache):
+        calls = []
+
+        def compute():
+            calls.append(1)
+            self.all_waiting(cache)
+            raise ValueError("no artifact")
+
+        got = self.race(cache, compute)
+        assert len(calls) == 1
+        assert all(isinstance(value, ValueError) for value in got)
+        assert all(value is got[0] for value in got)
+        assert not cache.get("k")[0]
+        assert cache.disk_entries() == 0
+        # the key is not stuck: the next caller computes afresh
+        assert cache.get_or_compute("k", lambda: "second") == "second"
 
 
 class TestInvalidation:

@@ -10,18 +10,23 @@ PYTHONHASHSEED.
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro import perf
 from repro.core.flow import Flow, Transition
 from repro.core.interleave import interleave_flows
 from repro.core.message import IndexedMessage, Message, MessageCombination
 from repro.errors import FrontierOverflowError, SelectionError
+from repro.runtime import cache as cache_module
 from repro.selection import kernels
 from repro.selection.kernels import (
     TableRegistry,
@@ -109,6 +114,60 @@ def assert_frontier_equal(left, right):
     assert left.closed == right.closed
     assert left.length == right.length
     assert left.size == right.size
+
+
+def cold_callers(registry, interleaved, traced, threads):
+    """*threads* threads calling ``registry.get`` at once, behind a
+    barrier: ``(the tables each got, the perf counters)``."""
+    visible = PathLocalizer(
+        interleaved, traced, engine="reference"
+    )._visible_mid
+    barrier = threading.Barrier(threads)
+    got = [None] * threads
+
+    def cold(index):
+        barrier.wait()
+        got[index] = registry.get(interleaved, visible)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with perf.collect() as counters:
+            workers = [
+                threading.Thread(target=cold, args=(i,))
+                for i in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    return got, counters
+
+
+def assert_promotion_stays_exact(interleaved, dense, reference):
+    """Force the diamond's second step onto the pure-Python kernels
+    and check it against the reference engine."""
+    by_name = {m.name: m for m in interleaved.messages}
+    observed = [
+        IndexedMessage(by_name["a"], 1),
+        IndexedMessage(by_name["f"], 1),
+    ]
+    tables = dense._compiled_tables()
+    # pretend int64 can only hold weight 1: the first step's closure
+    # reaches the diamond join with weight 2, so the second step must
+    # promote to the pure-Python kernels
+    tables.int64_limit = 1
+    with perf.collect() as counters:
+        outcome = dense.advance_many(dense.initial_frontier(), observed)
+    expect = reference.advance_many(reference.initial_frontier(), observed)
+    assert counters.get("localize_kernel_promotions") >= 1
+    assert_frontier_equal(outcome.frontier, expect.frontier)
+    assert dense.prefix_count(outcome.frontier) == reference.prefix_count(
+        expect.frontier
+    )
 
 
 class TestEngineResolution:
@@ -312,30 +371,26 @@ class TestBackendsAndPromotion:
     def test_overflow_guard_promotes_and_stays_exact(self, diamond_pair):
         interleaved, traced = diamond_pair
         dense, reference = engines(interleaved, traced)
-        by_name = {m.name: m for m in interleaved.messages}
-        observed = [
-            IndexedMessage(by_name["a"], 1),
-            IndexedMessage(by_name["f"], 1),
-        ]
+        assert_promotion_stays_exact(interleaved, dense, reference)
+
+    @pytest.mark.skipif(
+        not kernels.have_numpy(), reason="needs the numpy backend"
+    )
+    def test_overflow_guard_promotes_on_a_loaded_table(
+        self, diamond_pair, fresh_cache
+    ):
+        interleaved, traced = diamond_pair
+        engines(interleaved, traced)[0].warm()  # compiles and stores
+        dense, reference = engines(interleaved, traced)
         tables = dense._compiled_tables()
-        # pretend int64 can only hold weight 1: the first step's
-        # closure reaches the diamond join with weight 2, so the
-        # second step must promote to the pure-Python kernels
-        tables.int64_limit = 1
-        with perf.collect() as counters:
-            outcome = dense.advance_many(
-                dense.initial_frontier(), observed
-            )
-        expect = reference.advance_many(
-            reference.initial_frontier(), observed
-        )
-        assert counters.get("localize_kernel_promotions") >= 1
-        assert_frontier_equal(outcome.frontier, expect.frontier)
-        assert dense.prefix_count(outcome.frontier) == reference.prefix_count(
-            expect.frontier
-        )
+        assert dense._registry.stats()["disk_hits"] == 1
+        # the pure-Python structures are derived on the first promotion
+        assert tables._cranges is None
+        assert_promotion_stays_exact(interleaved, dense, reference)
+        assert tables._cranges is not None
 
 
+@pytest.mark.usefixtures("fresh_cache")
 class TestTableRegistry:
     def test_tables_shared_by_fingerprint(self, cc_interleaved, traced):
         registry = TableRegistry()
@@ -368,34 +423,30 @@ class TestTableRegistry:
         self, cc_interleaved, traced
     ):
         registry = TableRegistry()
-        visible = PathLocalizer(
-            cc_interleaved, traced, engine="reference"
-        )._visible_mid
         threads = 8
-        barrier = threading.Barrier(threads)
-        got = [None] * threads
-
-        def cold(index):
-            barrier.wait()
-            got[index] = registry.get(cc_interleaved, visible)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with perf.collect() as counters:
-                workers = [
-                    threading.Thread(target=cold, args=(i,))
-                    for i in range(threads)
-                ]
-                for worker in workers:
-                    worker.start()
-                for worker in workers:
-                    worker.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
+        got, counters = cold_callers(registry, cc_interleaved, traced, threads)
         assert registry.stats()["misses"] == 1
         assert counters.get("localize_table_compiles") == 1
+        assert all(tables is got[0] for tables in got)
+        assert registry.stats()["hits"] == threads - 1
+
+    @pytest.mark.skipif(
+        not kernels.have_numpy(), reason="needs the numpy backend"
+    )
+    def test_concurrent_cold_callers_on_a_warm_disk_load_once(
+        self, cc_interleaved, traced
+    ):
+        PathLocalizer(
+            cc_interleaved, traced, engine="dense", registry=TableRegistry()
+        ).warm()  # compiles and stores
+        registry = TableRegistry()
+        threads = 8
+        got, counters = cold_callers(registry, cc_interleaved, traced, threads)
+        assert registry.stats()["misses"] == 1
+        assert registry.stats()["disk_hits"] == 1
+        assert counters.get("localize_table_disk_hits") == 1
+        assert counters.get("localize_table_compiles") == 0
+        assert "localize_compile" not in counters.timings
         assert all(tables is got[0] for tables in got)
         assert registry.stats()["hits"] == threads - 1
 
@@ -414,7 +465,7 @@ class TestTableRegistry:
             release.wait(timeout=10.0)
             raise MemoryError("no room for the tables")
 
-        monkeypatch.setattr(kernels, "CompiledTables", broken)
+        monkeypatch.setattr(kernels, "compile_tables", broken)
         errors = []
 
         def call():
@@ -438,6 +489,20 @@ class TestTableRegistry:
         assert not waiter.is_alive()
         assert len(errors) == 2
         assert len(registry) == 0
+
+    def test_python_backend_persists_nothing(
+        self, fresh_cache, cc_interleaved, traced, monkeypatch
+    ):
+        monkeypatch.setattr(kernels, "_force_python", True)
+        for _ in range(2):
+            registry = TableRegistry()
+            with perf.collect() as counters:
+                PathLocalizer(
+                    cc_interleaved, traced, engine="dense", registry=registry
+                ).warm()
+            assert counters.get("localize_table_compiles") == 1
+            assert registry.stats()["disk_hits"] == 0
+        assert list(fresh_cache.glob("*.pkl")) == []
 
     def test_fingerprint_is_content_addressed(self, cc_flow, traced):
         # two structurally identical products fingerprint identically
@@ -475,6 +540,187 @@ class TestTableRegistry:
     def test_bad_capacity_rejected(self):
         with pytest.raises(SelectionError, match="max_tables"):
             TableRegistry(max_tables=0)
+
+
+#: A fresh interpreter: warm the dense engine on scenario 1 (two
+#: instances, every other message traced), then check it against the
+#: reference engine at every prefix of 20 random paths.
+FRESH_HOST = """
+import json, random
+from repro import perf
+from repro.selection.kernels import default_registry
+from repro.selection.localization import PathLocalizer
+from repro.soc.t2.scenarios import scenario
+
+u = scenario(1, instances=2).interleaved()
+traced = sorted(u.messages, key=lambda m: m.name)[::2]
+with perf.collect() as counters:
+    dense = PathLocalizer(u, traced, engine="dense").warm()
+reference = PathLocalizer(u, traced, engine="reference")
+offsets, msg_ids, targets = u.csr_adjacency()
+rng = random.Random(11)
+prefixes, mismatches = 0, 0
+for _ in range(20):
+    sid = rng.choice(sorted(u.initial_ids))
+    fd, fr = dense.initial_frontier(), reference.initial_frontier()
+    while offsets[sid] != offsets[sid + 1]:
+        e = rng.randrange(offsets[sid], offsets[sid + 1])
+        symbol = u.indexed_messages[msg_ids[e]]
+        sid = targets[e]
+        if not dense.is_visible(symbol):
+            continue
+        fd = dense.advance_many(fd, [symbol]).frontier
+        fr = reference.advance_many(fr, [symbol]).frontier
+        prefixes += 1
+        if (fd.matched, fd.closed, fd.size, dense.prefix_count(fd)) != (
+            fr.matched, fr.closed, fr.size, reference.prefix_count(fr)
+        ):
+            mismatches += 1
+print(json.dumps({
+    "compiles": counters.get("localize_table_compiles"),
+    "disk_hits": default_registry().stats()["disk_hits"],
+    "prefixes": prefixes,
+    "mismatches": mismatches,
+}))
+"""
+
+
+def table_contents(tables):
+    """Every array (as lists) and overflow-guard scalar of *tables*."""
+
+    def arrays(op):
+        return (list(op.src), list(op.tgt))
+
+    return {
+        "num_states": tables.num_states,
+        "closure": (
+            list(tables._csrc), list(tables._ctgt), list(tables._cweight)
+        ),
+        "mid_ops": {m: arrays(op) for m, op in tables.op_by_mid.items()},
+        "plain_ops": {m: arrays(op) for m, op in tables.op_by_plain.items()},
+        "guard": (
+            tables.step_growth, tables.closure_growth, tables.int64_limit
+        ),
+        "nbytes": tables.nbytes,
+    }
+
+
+@pytest.mark.skipif(
+    not kernels.have_numpy(), reason="tables persist on numpy only"
+)
+@pytest.mark.usefixtures("fresh_cache")
+class TestPersistedTables:
+    def visible(self, interleaved, traced):
+        return PathLocalizer(
+            interleaved, traced, engine="reference"
+        )._visible_mid
+
+    def entry(self, directory):
+        path, = directory.glob("localize-tables-*.pkl")
+        return path
+
+    def test_loaded_tables_equal_compiled(self, diamond_pair):
+        interleaved, traced = diamond_pair
+        visible = self.visible(interleaved, traced)
+        compiled = TableRegistry().get(interleaved, visible)
+        loaded = TableRegistry().get(interleaved, visible)
+        assert loaded is not compiled
+        assert table_contents(loaded) == table_contents(compiled)
+        assert not any(
+            arr.flags.writeable
+            for arr in (loaded._csrc, loaded._ctgt, loaded._cweight)
+        )
+
+    def test_fresh_process_loads_instead_of_compiling(self, fresh_cache):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src,
+               "REPRO_CACHE_DIR": str(fresh_cache)}
+        runs = [
+            json.loads(subprocess.run(
+                [sys.executable, "-c", FRESH_HOST],
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout)
+            for _ in range(2)
+        ]
+        assert (runs[0]["compiles"], runs[0]["disk_hits"]) == (1, 0)
+        assert (runs[1]["compiles"], runs[1]["disk_hits"]) == (0, 1)
+        for run in runs:
+            assert run["prefixes"] > 0
+            assert run["mismatches"] == 0
+
+    @pytest.mark.parametrize("damage", ["flip", "truncate"])
+    def test_bad_entry_is_rejected_recompiled_and_rewritten(
+        self, fresh_cache, cc_interleaved, traced, damage
+    ):
+        visible = self.visible(cc_interleaved, traced)
+        compiled = TableRegistry().get(cc_interleaved, visible)
+        path = self.entry(fresh_cache)
+        good = path.read_bytes()
+        if damage == "flip":
+            # a byte of array data: the entry still unpickles, and only
+            # the checksum can tell
+            at = good.find(compiled._ctgt.tobytes())
+            assert compiled.closure_entries and at > 0
+            data = bytearray(good)
+            data[at] ^= 0xFF
+            path.write_bytes(bytes(data))
+        else:
+            path.write_bytes(good[: len(good) // 2])
+        registry = TableRegistry()
+        with perf.collect() as counters:
+            rebuilt = registry.get(cc_interleaved, visible)
+        stats = registry.stats()
+        assert (stats["disk_hits"], stats["disk_rejects"]) == (0, 1)
+        assert counters.get("localize_table_disk_rejects") == 1
+        assert counters.get("localize_table_compiles") == 1
+        # only an entry that does not unpickle is the cache's own error;
+        # a flipped byte is caught by the checksum
+        load_errors = cache_module.default_cache().stats.load_errors
+        assert load_errors == (1 if damage == "truncate" else 0)
+        assert table_contents(rebuilt) == table_contents(compiled)
+        # rewritten: the next cold registry loads it
+        assert path.read_bytes() == good
+        again = TableRegistry()
+        again.get(cc_interleaved, visible)
+        assert again.stats()["disk_hits"] == 1
+
+    def test_unwritable_cache_still_compiles(
+        self, fresh_cache, cc_interleaved, traced, monkeypatch
+    ):
+        fresh_cache.mkdir()
+        fresh_cache.chmod(0o555)
+
+        def denied(*_args, **_kwargs):
+            # what a read-only directory answers, even to root
+            raise PermissionError(13, "Read-only file system")
+
+        monkeypatch.setattr(cache_module.tempfile, "mkstemp", denied)
+        visible = self.visible(cc_interleaved, traced)
+        try:
+            for _ in range(2):
+                registry = TableRegistry()
+                with perf.collect() as counters:
+                    assert registry.get(cc_interleaved, visible)
+                assert counters.get("localize_table_compiles") == 1
+                assert registry.stats()["disk_hits"] == 0
+            assert list(fresh_cache.iterdir()) == []
+        finally:
+            fresh_cache.chmod(0o755)
+
+    def test_cache_cli_counts_and_clears_tables(
+        self, fresh_cache, cc_interleaved, traced, capsys
+    ):
+        from repro.cli import main
+
+        visible = self.visible(cc_interleaved, traced)
+        TableRegistry().get(cc_interleaved, visible)
+        assert main(["cache", "stats", "--json"]) == 0
+        snapshot = json.loads(capsys.readouterr().out)
+        assert snapshot["disk_entries"] == 1
+        assert snapshot["disk_bytes"] == self.entry(fresh_cache).stat().st_size
+        assert main(["cache", "clear"]) == 0
+        assert "cleared 1 cached artifact(s)" in capsys.readouterr().out
+        assert list(fresh_cache.glob("*.pkl")) == []
 
 
 class TestStepMemo:

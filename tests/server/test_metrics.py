@@ -128,6 +128,8 @@ def test_server_exports_localize_table_stats(context):
         "hits",
         "misses",
         "evictions",
+        "disk_hits",
+        "disk_rejects",
         "bytes",
         "closure_entries",
         "step_memo_entries",

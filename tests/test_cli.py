@@ -297,6 +297,8 @@ class TestProfileCommand:
         assert payload["counters"]["combinations_scored"] > 0
         assert "wall_time_s" in payload
         assert "gain=" in payload["result"]
+        for key in ("misses", "disk_hits", "disk_rejects"):
+            assert key in payload["localize_tables"]
 
     def test_records_telemetry(self, capsys):
         from repro.runtime.telemetry import recent_runs

@@ -14,22 +14,28 @@ Only the reachable part of the product is materialized (sparse, BFS
 from the initial product states), which is what keeps the construction
 tractable for multi-flow usage scenarios.
 
-Internally the product is *interned*: every reachable state and every
+The product is stored *interned*: every reachable state and every
 distinct indexed message receives a dense integer ID at construction
 (IDs follow the states'/messages' natural sort order), and the
-transition relation is stored as CSR-style integer arrays.  The public
-tuple/dataclass API (``states``, ``transitions``, ``outgoing``, ...)
-is preserved as thin views over those tables, while the hot consumers
--- the information model, coverage bitsets, and the localization DP --
-work directly on the integer arrays.
+transition relation is stored as CSR-style integer arrays.  Those
+tables are the only stored form -- in memory and in a pickle.  The
+object-level views (``states``, ``transitions``, ``outgoing``, the
+state-to-ID map, ...) are thin, lazily built views over the tables:
+each is derived on first use, once per instance, and none is pickled.
+The hot consumers -- the information model, coverage bitsets, and the
+localization DP -- work directly on the integer arrays, so a product
+loaded from the artifact cache never hashes its ~10^5 edge objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import threading
 from dataclasses import dataclass
 from typing import (
+    Any,
+    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -37,6 +43,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro import perf
@@ -52,6 +59,8 @@ from repro.core.visibility import VisibilityIndex
 from repro.errors import InterleavingError
 
 ProductState = Tuple[IndexedState, ...]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True, order=True)
@@ -70,7 +79,7 @@ class InterleavedTransition:
 
 @dataclass(frozen=True)
 class _InternedProduct:
-    """The integer view of a product automaton.
+    """The integer tables of a product automaton -- its stored form.
 
     ``state_table``/``message_table`` assign dense IDs in the states'
     (respectively messages') sort order, so comparisons on IDs agree
@@ -79,11 +88,12 @@ class _InternedProduct:
     ``adj_offsets[i]:adj_offsets[i + 1]`` of the parallel
     ``adj_messages``/``adj_targets`` arrays, sorted by
     ``(message ID, target ID)`` -- the exact order :meth:`InterleavedFlow.
-    outgoing` has always presented.
+    outgoing` has always presented.  The state-to-ID map is not stored:
+    hashing every product state is what made loading slow, and only the
+    object-level API needs it (:meth:`InterleavedFlow.state_id`).
     """
 
     state_table: Tuple[ProductState, ...]
-    state_ids: Dict[ProductState, int]
     message_table: Tuple[IndexedMessage, ...]
     message_ids: Dict[IndexedMessage, int]
     adj_offsets: Tuple[int, ...]
@@ -91,31 +101,8 @@ class _InternedProduct:
     adj_targets: Tuple[int, ...]
 
 
-def _intern_product(
-    states: FrozenSet[ProductState],
-    transitions: Sequence[InterleavedTransition],
-) -> _InternedProduct:
-    """Build the interned tables from object-level states/transitions.
-
-    Used when an :class:`InterleavedFlow` is constructed directly (the
-    :func:`interleave` builder assembles the tables inline, without
-    re-deriving them from objects).
-    """
-    state_table = tuple(sorted(states))
-    state_ids = {state: i for i, state in enumerate(state_table)}
-    message_table = tuple(sorted({t.message for t in transitions}))
-    message_ids = {m: i for i, m in enumerate(message_table)}
-    edges = sorted(
-        (state_ids[t.source], message_ids[t.message], state_ids[t.target])
-        for t in transitions
-    )
-    return _finish_interning(state_table, state_ids, message_table,
-                             message_ids, edges)
-
-
 def _finish_interning(
     state_table: Tuple[ProductState, ...],
-    state_ids: Dict[ProductState, int],
     message_table: Tuple[IndexedMessage, ...],
     message_ids: Dict[IndexedMessage, int],
     edges: List[Tuple[int, int, int]],
@@ -128,7 +115,6 @@ def _finish_interning(
         offsets[i] += offsets[i - 1]
     return _InternedProduct(
         state_table=state_table,
-        state_ids=state_ids,
         message_table=message_table,
         message_ids=message_ids,
         adj_offsets=tuple(offsets),
@@ -137,15 +123,26 @@ def _finish_interning(
     )
 
 
+#: The pickled state of an :class:`InterleavedFlow`: the components,
+#: the initial/stop sets in both forms and the interned tables.  Derived
+#: views are rebuilt on demand after loading.
+_PICKLED_FIELDS = frozenset(
+    {"components", "initial", "stop", "initial_ids", "stop_ids", "interned"}
+)
+
+
 class InterleavedFlow:
     """Reachable interleaving product ``U = F1 ||| F2 ||| ... ||| Fn``.
 
     Instances are built with :func:`interleave`; the constructor is
-    internal.  The object exposes everything the selection machinery
-    needs:
+    internal.  The interned integer tables are the only stored form
+    (and the only pickled one); the object-level views are derived from
+    them on first use.  The object exposes everything the selection
+    machinery needs:
 
     * ``states`` / ``initial`` / ``stop`` / ``transitions`` -- the
-      product automaton,
+      product automaton (``states`` and ``transitions`` are lazy,
+      read-only views),
     * ``outgoing(state)`` -- adjacency,
     * ``message_occurrences`` -- how often each indexed message labels
       an edge (the marginal ``p(y)`` numerator of Section 3.2),
@@ -164,51 +161,120 @@ class InterleavedFlow:
       arrays, indexed by state ID,
     * ``visibility_index()`` -- per-message coverage bitsets
       (:mod:`repro.core.visibility`).
+
+    Every derived view is built once per instance: concurrent first
+    callers serialize on a per-instance lock and all receive the same
+    object, while a warm read takes no lock.
     """
 
     def __init__(
         self,
         components: Sequence[IndexedFlow],
-        states: FrozenSet[ProductState],
-        initial: FrozenSet[ProductState],
-        stop: FrozenSet[ProductState],
-        transitions: Tuple[InterleavedTransition, ...],
-        interned: Optional[_InternedProduct] = None,
+        initial_ids: Sequence[int],
+        stop_ids: FrozenSet[int],
+        interned: _InternedProduct,
     ) -> None:
-        self.components = tuple(components)
-        self.states = states
-        self.initial = initial
-        self.stop = stop
-        self.transitions = transitions
-        self._interned = (
-            interned
-            if interned is not None
-            else _intern_product(states, transitions)
-        )
-        self._initial_ids = tuple(
-            sorted(self._interned.state_ids[s] for s in initial)
-        )
-        self._stop_ids = frozenset(
-            self._interned.state_ids[s] for s in stop
-        )
-        # lazy caches over the interned tables
+        table = interned.state_table
+        self.__setstate__({
+            "components": tuple(components),
+            "initial": frozenset(table[i] for i in initial_ids),
+            "stop": frozenset(table[i] for i in stop_ids),
+            "initial_ids": tuple(sorted(initial_ids)),
+            "stop_ids": frozenset(stop_ids),
+            "interned": interned,
+        })
+
+    # ------------------------------------------------------------------
+    # pickling: the tables only
+    # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        return {
+            "components": self.components,
+            "initial": self.initial,
+            "stop": self.stop,
+            "initial_ids": self._initial_ids,
+            "stop_ids": self._stop_ids,
+            "interned": self._interned,
+        }
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        if not isinstance(state, dict) or set(state) != _PICKLED_FIELDS \
+                or not isinstance(state["interned"], _InternedProduct):
+            raise InterleavingError(
+                "unrecognized InterleavedFlow state (written by an "
+                "incompatible version)"
+            )
+        self.components: Tuple[IndexedFlow, ...] = state["components"]
+        self.initial: FrozenSet[ProductState] = state["initial"]
+        self.stop: FrozenSet[ProductState] = state["stop"]
+        self._initial_ids: Tuple[int, ...] = state["initial_ids"]
+        self._stop_ids: FrozenSet[int] = state["stop_ids"]
+        self._interned: _InternedProduct = state["interned"]
+        # derived views, by name (see _view), and the lock that builds
+        # each of them once
+        self._views: Dict[str, Any] = {}
+        self._lock = threading.RLock()
         self._outgoing_cache: Dict[ProductState, Tuple[InterleavedTransition, ...]] = {}
-        self._paths_to_stop: Optional[Dict[ProductState, int]] = None
-        self._paths_to_stop_ids: Optional[List[int]] = None
-        self._topological_ids: Optional[List[int]] = None
-        self._message_occurrences: Optional[Dict[IndexedMessage, int]] = None
-        self._edge_targets_by_message: Optional[
-            Dict[IndexedMessage, List[int]]
-        ] = None
-        self._visibility: Optional[VisibilityIndex] = None
-        self._messages: Optional[MessageCombination] = None
+
+    def _view(self, name: str, build: Callable[[], _T]) -> _T:
+        """The derived view *name*, built by *build* on first use.
+
+        Check-then-lock: a warm read is one dict lookup; cold callers
+        serialize on the instance lock (re-entrant, since views build
+        on other views), so *build* runs once and every caller gets
+        the object it returned.
+        """
+        value = self._views.get(name)
+        if value is None:
+            with self._lock:
+                value = self._views.get(name)
+                if value is None:
+                    value = self._views[name] = build()
+        return value
+
+    # ------------------------------------------------------------------
+    # object-level views over the tables
+    # ------------------------------------------------------------------
+    @property
+    def states(self) -> FrozenSet[ProductState]:
+        """Every reachable product state."""
+        return self._view(
+            "states", lambda: frozenset(self._interned.state_table)
+        )
+
+    @property
+    def transitions(self) -> Tuple[InterleavedTransition, ...]:
+        """Every edge, sorted (the CSR order: source, message, target)."""
+        return self._view("transitions", self._build_transitions)
+
+    def _build_transitions(self) -> Tuple[InterleavedTransition, ...]:
+        interned = self._interned
+        table, messages = interned.state_table, interned.message_table
+        offsets = interned.adj_offsets
+        adj_messages, adj_targets = interned.adj_messages, interned.adj_targets
+        return tuple(
+            InterleavedTransition(
+                table[src], messages[adj_messages[e]], table[adj_targets[e]]
+            )
+            for src in range(len(table))
+            for e in range(offsets[src], offsets[src + 1])
+        )
+
+    def _state_ids(self) -> Dict[ProductState, int]:
+        return self._view(
+            "state_ids",
+            lambda: {
+                state: i
+                for i, state in enumerate(self._interned.state_table)
+            },
+        )
 
     # ------------------------------------------------------------------
     # interned integer view
     # ------------------------------------------------------------------
     def state_id(self, state: ProductState) -> int:
         """Dense ID of *state* (IDs follow the states' sort order)."""
-        return self._interned.state_ids[state]
+        return self._state_ids()[state]
 
     def state_at(self, state_id: int) -> ProductState:
         """The product state interned at *state_id*."""
@@ -249,20 +315,21 @@ class InterleavedFlow:
 
     @property
     def num_states(self) -> int:
-        return len(self.states)
+        return len(self._interned.state_table)
 
     @property
     def num_transitions(self) -> int:
-        return len(self.transitions)
+        return len(self._interned.adj_targets)
 
     @property
     def messages(self) -> MessageCombination:
         """The (un-indexed) message set ``E = union of component E_i``."""
-        if self._messages is None:
-            self._messages = MessageCombination(
+        return self._view(
+            "messages",
+            lambda: MessageCombination(
                 m for c in self.components for m in c.flow.messages
-            )
-        return self._messages
+            ),
+        )
 
     @property
     def indexed_messages(self) -> Tuple[IndexedMessage, ...]:
@@ -286,7 +353,7 @@ class InterleavedFlow:
         cached = self._outgoing_cache.get(state)
         if cached is None:
             interned = self._interned
-            sid = interned.state_ids.get(state)
+            sid = self._state_ids().get(state)
             if sid is None:
                 return ()
             lo = interned.adj_offsets[sid]
@@ -306,12 +373,14 @@ class InterleavedFlow:
     def message_occurrences(self) -> Dict[IndexedMessage, int]:
         """Edge count per indexed message over the whole product
         (computed once; the returned dict is a fresh copy)."""
-        if self._message_occurrences is None:
-            self._message_occurrences = {
+        occurrences = self._view(
+            "message_occurrences",
+            lambda: {
                 message: len(targets)
                 for message, targets in self._edge_index().items()
-            }
-        return dict(self._message_occurrences)
+            },
+        )
+        return dict(occurrences)
 
     def destinations(self, message: IndexedMessage) -> List[ProductState]:
         """Target states of every edge labelled *message* (with
@@ -328,42 +397,44 @@ class InterleavedFlow:
         return self._edge_index()
 
     def _edge_index(self) -> Dict[IndexedMessage, List[int]]:
-        """Per-message target-ID lists, in transition-tuple order.
+        """Per-message target-ID lists, in transition order.
 
-        One pass over ``transitions``; keys appear in first-encounter
-        order and target multiplicity is preserved, which is what keeps
-        the information model's float-sum order identical to the
-        historical full-scan implementation.
+        One pass over the CSR arrays, whose edge order is the
+        ``transitions`` order (source, message, target); keys appear in
+        first-encounter order and target multiplicity is preserved,
+        which is what keeps the information model's float-sum order
+        identical to the historical full-scan implementation.
         """
-        if self._edge_targets_by_message is None:
-            index: Dict[IndexedMessage, List[int]] = {}
-            state_ids = self._interned.state_ids
-            for t in self.transitions:
-                index.setdefault(t.message, []).append(
-                    state_ids[t.target]
-                )
-            self._edge_targets_by_message = index
-        return self._edge_targets_by_message
+        return self._view("edge_index", self._build_edge_index)
+
+    def _build_edge_index(self) -> Dict[IndexedMessage, List[int]]:
+        interned = self._interned
+        by_id: Dict[int, List[int]] = {}
+        for message_id, target_id in zip(
+            interned.adj_messages, interned.adj_targets
+        ):
+            by_id.setdefault(message_id, []).append(target_id)
+        table = interned.message_table
+        return {table[m]: targets for m, targets in by_id.items()}
 
     def visibility_index(self) -> VisibilityIndex:
         """Per-message coverage bitsets over interned state IDs
         (built once, straight from the CSR arrays)."""
-        if self._visibility is None:
-            with perf.timed("visibility_index"):
-                interned = self._interned
-                self._visibility = VisibilityIndex.from_edges(
-                    len(interned.state_table),
-                    zip(
-                        (
-                            interned.message_table[m]
-                            for m in interned.adj_messages
-                        ),
-                        interned.adj_targets,
-                    ),
-                    interned.state_table,
-                )
-            perf.add("visibility_bitsets_built", 1)
-        return self._visibility
+        return self._view("visibility", self._build_visibility)
+
+    def _build_visibility(self) -> VisibilityIndex:
+        with perf.timed("visibility_index"):
+            interned = self._interned
+            visibility = VisibilityIndex.from_edges(
+                len(interned.state_table),
+                zip(
+                    (interned.message_table[m] for m in interned.adj_messages),
+                    interned.adj_targets,
+                ),
+                interned.state_table,
+            )
+        perf.add("visibility_bitsets_built", 1)
+        return visibility
 
     # ------------------------------------------------------------------
     # paths / executions
@@ -371,28 +442,29 @@ class InterleavedFlow:
     def topological_ids(self) -> List[int]:
         """State IDs in a (deterministic) topological order of the
         product DAG -- Kahn's algorithm over the CSR arrays."""
-        if self._topological_ids is None:
-            offsets, _, targets = self.csr_adjacency()
-            n = len(self._interned.state_table)
-            indegree = [0] * n
-            for target_id in targets:
-                indegree[target_id] += 1
-            ready = [i for i in range(n) if indegree[i] == 0]
-            order: List[int] = []
-            while ready:
-                state_id = ready.pop()
-                order.append(state_id)
-                for e in range(offsets[state_id], offsets[state_id + 1]):
-                    target_id = targets[e]
-                    indegree[target_id] -= 1
-                    if indegree[target_id] == 0:
-                        ready.append(target_id)
-            if len(order) != n:
-                raise InterleavingError(
-                    "interleaved flow is not a DAG"
-                )  # pragma: no cover - components are validated DAGs
-            self._topological_ids = order
-        return self._topological_ids
+        return self._view("topological_ids", self._build_topological_ids)
+
+    def _build_topological_ids(self) -> List[int]:
+        offsets, _, targets = self.csr_adjacency()
+        n = self.num_states
+        indegree = [0] * n
+        for target_id in targets:
+            indegree[target_id] += 1
+        ready = [i for i in range(n) if indegree[i] == 0]
+        order: List[int] = []
+        while ready:
+            state_id = ready.pop()
+            order.append(state_id)
+            for e in range(offsets[state_id], offsets[state_id + 1]):
+                target_id = targets[e]
+                indegree[target_id] -= 1
+                if indegree[target_id] == 0:
+                    ready.append(target_id)
+        if len(order) != n:
+            raise InterleavingError(
+                "interleaved flow is not a DAG"
+            )  # pragma: no cover - components are validated DAGs
+        return order
 
     def topological_order(self) -> List[ProductState]:
         """Reachable product states in topological order."""
@@ -402,32 +474,36 @@ class InterleavedFlow:
     def paths_to_stop_ids(self) -> List[int]:
         """Paths-to-stop counts as an array indexed by state ID
         (memoised)."""
-        if self._paths_to_stop_ids is None:
-            offsets, _, targets = self.csr_adjacency()
-            counts = [0] * len(self._interned.state_table)
-            stop_ids = self._stop_ids
-            for state_id in reversed(self.topological_ids()):
-                total = 1 if state_id in stop_ids else 0
-                for e in range(offsets[state_id], offsets[state_id + 1]):
-                    total += counts[targets[e]]
-                counts[state_id] = total
-            self._paths_to_stop_ids = counts
-        return self._paths_to_stop_ids
+        return self._view("paths_to_stop_ids", self._build_paths_to_stop_ids)
+
+    def _build_paths_to_stop_ids(self) -> List[int]:
+        offsets, _, targets = self.csr_adjacency()
+        counts = [0] * self.num_states
+        stop_ids = self._stop_ids
+        for state_id in reversed(self.topological_ids()):
+            total = 1 if state_id in stop_ids else 0
+            for e in range(offsets[state_id], offsets[state_id + 1]):
+                total += counts[targets[e]]
+            counts[state_id] = total
+        return counts
 
     def paths_to_stop(self) -> Dict[ProductState, int]:
         """Number of paths from each state to any stop state (memoised)."""
-        if self._paths_to_stop is None:
-            counts = self.paths_to_stop_ids()
-            table = self._interned.state_table
-            self._paths_to_stop = {
-                table[i]: counts[i] for i in range(len(table))
-            }
-        return self._paths_to_stop
+        return self._view(
+            "paths_to_stop",
+            lambda: dict(
+                zip(self._interned.state_table, self.paths_to_stop_ids())
+            ),
+        )
 
     def count_paths(self) -> int:
         """Total number of executions of the interleaved flow."""
-        counts = self.paths_to_stop_ids()
-        return sum(counts[i] for i in self._initial_ids)
+        return self._view(
+            "count_paths",
+            lambda: sum(
+                self.paths_to_stop_ids()[i] for i in self._initial_ids
+            ),
+        )
 
     def executions(self) -> Iterator[Execution]:
         """Lazily enumerate executions (may be astronomically many --
@@ -527,9 +603,10 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
     local adjacency is materialized once up front (instead of rebuilding
     indexed ``(message, target)`` pairs on every visit), and edges are
     collected as ID triples that are sorted and packed into the CSR
-    arrays the :class:`InterleavedFlow` hot paths consume.  The
-    resulting object-level ``states``/``transitions`` are identical --
-    including order -- to the historical object-graph construction.
+    arrays the :class:`InterleavedFlow` hot paths consume.  No edge or
+    state-set objects are built here; the lazily derived
+    ``states``/``transitions`` views are identical -- including order --
+    to the historical object-graph construction.
     """
     with perf.timed("interleave"):
         instances = tuple(instances)
@@ -606,32 +683,23 @@ def interleave(instances: Sequence[IndexedFlow]) -> InterleavedFlow:
             (final_of[src], message_ids[message], final_of[tgt])
             for src, message, tgt in edges
         )
+        # (the edge sort above equals sorting InterleavedTransition
+        # objects, so the CSR order is the historical transition order)
         interned = _finish_interning(
-            state_table, state_ids, message_table, message_ids, id_edges
-        )
-
-        # object-level views, in the exact historical order (the edge
-        # sort above equals sorting InterleavedTransition objects)
-        transitions = tuple(
-            InterleavedTransition(
-                state_table[src], message_table[mid], state_table[tgt]
-            )
-            for src, mid, tgt in id_edges
+            state_table, message_table, message_ids, id_edges
         )
         stop_sets = [frozenset(inst.stop) for inst in instances]
-        stop_states = frozenset(
-            s
-            for s in state_table
-            if all(s[i] in stop_sets[i] for i in positions)
+        stop_ids = frozenset(
+            i
+            for i, s in enumerate(state_table)
+            if all(s[j] in stop_sets[j] for j in positions)
         )
         perf.add("interleave_states_expanded", len(state_table))
-        perf.add("interleave_transitions", len(transitions))
+        perf.add("interleave_transitions", len(id_edges))
         return InterleavedFlow(
             components=instances,
-            states=frozenset(state_table),
-            initial=frozenset(initial_states),
-            stop=stop_states,
-            transitions=transitions,
+            initial_ids=[state_ids[s] for s in set(initial_states)],
+            stop_ids=stop_ids,
             interned=interned,
         )
 

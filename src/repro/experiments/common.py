@@ -14,6 +14,11 @@ from repro.soc.t2.scenarios import UsageScenario, usage_scenarios
 #: Trace buffer width used throughout the paper's experiments.
 BUFFER_WIDTH = 32
 
+#: Version of the bundle's pickled shape, part of its cache key.  2:
+#: the interleaved product is pickled as its interned tables only, so
+#: an entry of the object-form shape (1) is never looked up.
+SELECTION_FORMAT = 2
+
 
 @dataclass(frozen=True)
 class ScenarioSelection:
@@ -36,10 +41,11 @@ def selection_key(
 
     The key carries *every* input the selection depends on -- scenario
     number, instance count, buffer width, Step-2 engine, the library
-    version, and a structural fingerprint of the scenario's message
-    pool and sub-groups -- so selections made under different options
-    (e.g. different buffer widths) can never alias, in this process or
-    on disk.
+    version, the bundle's pickled shape (:data:`SELECTION_FORMAT`), and
+    a structural fingerprint of the scenario's message pool and
+    sub-groups -- so selections made under different options (e.g.
+    different buffer widths) can never alias, in this process or on
+    disk.
     """
     return artifact_key(
         "scenario-selection",
@@ -49,6 +55,7 @@ def selection_key(
         method=method,
         subgroup_policy="proportional",
         version=__version__,
+        format=SELECTION_FORMAT,
         pool=message_fingerprint(tuple(scenario.message_pool)),
         subgroups=message_fingerprint(scenario.subgroup_pool),
     )

@@ -75,9 +75,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.chaos import ChaosProxy, FaultDecider, batch_reference
     from repro.chaos.faults import FaultPlan, FaultSpec
+    from repro.perf import percentile
     from repro.server import (
         DebugClient,
-        MetricsRegistry,
         RetryPolicy,
         ServeContext,
         ServerConfig,
@@ -85,7 +85,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         SessionFeed,
     )
     from repro.server.loadgen import render_session_chunks
-    from repro.server.metrics import percentile
 
     context = ServeContext.from_scenario(
         args.scenario,
@@ -107,13 +106,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
 
     # -- server behind a lossy proxy -----------------------------------
-    registry = MetricsRegistry()
     thread = ServerThread(
         context,
         ServerConfig(
             shards=args.shards, max_sessions=args.sessions + 4
         ),
-        registry,
     )
     host, port = thread.start()
     specs = [FaultSpec("network", "drop", args.frame_loss)]
@@ -179,7 +176,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             worker.join()
         wall_s = time.perf_counter() - wall_start
         proxy_stats = proxy.stats()
-        metrics = registry.snapshot()
+        metrics = thread.metrics.snapshot()
     finally:
         proxy.stop()
         thread.stop()

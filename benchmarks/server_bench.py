@@ -79,7 +79,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.server import (
-        MetricsRegistry,
         ServeContext,
         ServerConfig,
         ServerThread,
@@ -116,12 +115,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     in_process = leg(SessionHost(context, config))
 
     # -- the same sessions over the wire -------------------------------
-    registry = MetricsRegistry()
-    thread = ServerThread(context, config, registry)
+    thread = ServerThread(context, config)
     host, port = thread.start()
     try:
         networked = leg((host, port), args.processes)
-        metrics = registry.snapshot()
+        metrics = thread.metrics.snapshot()
     finally:
         thread.stop()
 

@@ -87,7 +87,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     from repro.server import (
         DebugClient,
-        MetricsRegistry,
         ServeContext,
         ServerConfig,
         ServerThread,
@@ -103,8 +102,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     max_sessions = max(args.sessions, args.recovery_sessions) + 4
 
     def run_once(config: ServerConfig):
-        registry = MetricsRegistry()
-        thread = ServerThread(context, config, registry)
+        thread = ServerThread(context, config)
         host, port = thread.start()
         try:
             report = run_load_test(
@@ -117,7 +115,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seed=args.seed,
                 mode=args.mode,
             )
-            metrics = registry.snapshot()
+            metrics = thread.metrics.snapshot()
         finally:
             thread.stop()
         return report, metrics
@@ -174,11 +172,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     client.feed(sid, index, chunk)
         thread.stop(abort=True)  # simulated crash: nothing is flushed
 
-        registry = MetricsRegistry()
-        thread = ServerThread(context, durable_config, registry)
+        thread = ServerThread(context, durable_config)
         thread.start()
         recovery = thread.server.recovery_info
-        recovered_open = registry.snapshot()["server"]["open_sessions"]
+        recovered_open = thread.metrics.snapshot()["server"]["open_sessions"]
         thread.stop()
     finally:
         if cleanup:

@@ -334,8 +334,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     import json
     import time
 
+    from repro.perf import recent_runs
     from repro.runtime.cache import default_cache
-    from repro.runtime.telemetry import recent_runs
 
     cache = default_cache()
     if args.action == "clear":
@@ -434,7 +434,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 def _cmd_serve_demo(args: argparse.Namespace) -> int:
     import json
 
-    from repro.runtime.telemetry import recent_runs
+    from repro.perf import recent_runs
     from repro.server import (
         ServeContext,
         ServerConfig,
@@ -481,12 +481,7 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.server import (
-        DebugServer,
-        MetricsRegistry,
-        ServeContext,
-        ServerConfig,
-    )
+    from repro.server import DebugServer, ServeContext, ServerConfig
 
     context = ServeContext.from_scenario(
         args.scenario,
@@ -510,7 +505,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         fsync_interval_s=args.fsync_interval,
         snapshot_every=args.snapshot_every,
     )
-    server = DebugServer(context, config, MetricsRegistry())
+    server = DebugServer(context, config)
 
     def on_ready(ready: DebugServer) -> None:
         print(
@@ -772,11 +767,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             ).frontier
             localizer.prefix_count(frontier)
     wall = time.perf_counter() - start
-    perf.record_profile(
-        counters,
-        f"profile:scenario{args.scenario}x{args.instances}:{args.method}",
+    perf.record_run(perf.RunRecord(
+        name=f"profile:scenario{args.scenario}x{args.instances}:"
+        f"{args.method}",
+        tasks_dispatched=1,
+        tasks_completed=1,
         wall_time_s=wall,
-    )
+        extra=counters.as_dict(),
+    ))
     cache_stats = default_cache().stats.as_dict()
     table_stats = kernels.default_registry().stats()
     if args.json:

@@ -1,20 +1,23 @@
-"""Lightweight stage counters for the selection core.
+"""The one metrics plane: exact counters, stage timings, latency
+windows, scrape-time collectors and run records.
 
 The hot paths of the library (product construction, coverage bitsets,
-the selection knapsack, the localization DP) report *aggregate* stage
-counters -- states expanded, bitset ORs, DP steps, wall time per stage
--- through this module.  Instrumentation is collected only while a
-:func:`collect` block is active; outside one, :func:`add` and
-:func:`timed` are near-zero-cost no-ops, so the counters can stay in
-the production code paths permanently.
+the selection knapsack, the localization kernels) report *aggregate*
+stage counters -- states expanded, bitset ORs, DP steps, wall time per
+stage -- through :func:`add` and :func:`timed`.  An increment lands in
 
-Counters integrate with :mod:`repro.runtime.telemetry`:
-:func:`record_profile` wraps a finished collection into a
-:class:`~repro.runtime.telemetry.RunRecord` so ``repro profile`` output
-shows up next to orchestration/streaming telemetry.  The ``repro
-profile <scenario>`` CLI command and ``benchmarks/core_bench.py`` are
-the two consumers; both exist so that the Step-2 speedup (and any
-future regression) stays measurable.
+* the :class:`Metrics` *bound* to the calling thread (:func:`bind`,
+  :func:`bound`): a debug server binds its own instance on the threads
+  that do its work, so kernel and table counters show up in that
+  server's ``STATS`` and in no other server's;
+* every active :func:`collect` observer.  Observers are process-wide:
+  a profiling block also sees increments from threads it did not
+  start.
+
+With neither, :func:`add` and :func:`timed` are near-zero-cost no-ops,
+so the counters stay in the production code paths permanently.  Every
+:class:`Metrics` update takes the instance's one lock, so concurrent
+increments are exact.
 
 Usage::
 
@@ -23,16 +26,17 @@ Usage::
     with perf.collect() as counters:
         interleaved = interleave(instances)
         select_messages(interleaved, 32)
-    print(counters.as_dict())
+    print(counters.format())
 
-Collections nest: every active collector receives every increment, so
-an outer campaign-level collection still sees the counters of inner
-per-scenario ones.  The active-collector stack is process-global and
-not thread-isolated -- profiling is a single-threaded activity here.
+A server's :class:`Metrics` also holds latency histograms (exact
+lifetime count/sum/max, percentiles over a window of recent samples)
+and scrape-time collectors; :meth:`Metrics.snapshot` is what ``STATS``
+and ``--metrics-port`` serve.  Finished runs land as :class:`RunRecord`
+in a small process-wide ring that ``repro cache stats`` prints.
 
-Localization-kernel counter registry (reported by
-:mod:`repro.selection.kernels` and the dense engine seam in
-:mod:`repro.selection.localization`):
+Localization-kernel counters (reported by :mod:`repro.selection.
+kernels` and the dense engine seam in :mod:`repro.selection.
+localization`):
 
 * ``localize_kernel_batches`` / ``localize_kernel_symbols`` -- batched
   ``advance_many`` invocations and symbols they consumed;
@@ -59,117 +63,228 @@ Localization-kernel counter registry (reported by
 
 from __future__ import annotations
 
+import json
+import math
+import threading
 import time
+from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Sequence, Tuple
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.telemetry import RunRecord
+#: Sampled at scrape time (see :meth:`Metrics.add_collector`).
+Collector = Callable[[], Dict[str, object]]
 
 
-@dataclass
-class PerfCounters:
-    """Aggregated stage counters for one :func:`collect` block.
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending sequence (0 when empty)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[min(rank, len(sorted_values)) - 1]
 
-    Attributes
-    ----------
-    counters:
-        Monotonic event counts, e.g. ``interleave_states_expanded`` or
-        ``coverage_bitset_ors``.
-    timings:
-        Wall time per named stage in seconds (summed over repeated
-        entries of the same stage).
-    """
 
-    counters: Dict[str, int] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
+class _Window:
+    """One latency histogram (guarded by its :class:`Metrics` lock)."""
+
+    __slots__ = ("ring", "next", "count", "total", "peak")
+
+    def __init__(self) -> None:
+        self.ring: List[float] = []
+        self.next = 0
+        self.count = 0
+        self.total = 0.0
+        self.peak = 0.0
+
+
+class Metrics:
+    """Counters, stage timings, latency histograms and collectors
+    behind one lock."""
+
+    def __init__(self, window: int = 2048) -> None:
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self._lock = threading.Lock()
+        self._window = window
+        #: Event counts, e.g. ``interleave_states_expanded``.
+        self.counters: Dict[str, int] = {}
+        #: Wall seconds per named stage, summed over its entries.
+        self.timings: Dict[str, float] = {}
+        self._histograms: Dict[str, _Window] = {}
+        self._collectors: Dict[str, Collector] = {}
 
     def add(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
+        with self._lock:
+            self.counters[name] = self.counters.get(name, 0) + amount
 
     def add_time(self, stage: str, seconds: float) -> None:
-        self.timings[stage] = self.timings.get(stage, 0.0) + seconds
+        with self._lock:
+            self.timings[stage] = self.timings.get(stage, 0.0) + seconds
 
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
+    def observe(self, name: str, seconds: float) -> None:
+        """Add one observation to latency histogram *name*."""
+        with self._lock:
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = self._histograms[name] = _Window()
+            hist.count += 1
+            hist.total += seconds
+            if seconds > hist.peak:
+                hist.peak = seconds
+            if len(hist.ring) < self._window:
+                hist.ring.append(seconds)
+            else:
+                hist.ring[hist.next] = seconds
+                hist.next = (hist.next + 1) % self._window
+
+    def declare(
+        self, counters: Iterable[str] = (), histograms: Iterable[str] = ()
+    ) -> None:
+        """Report *counters* (as 0) and *histograms* (empty) in every
+        snapshot, before their first event."""
+        with self._lock:
+            for name in counters:
+                self.counters.setdefault(name, 0)
+            for name in histograms:
+                self._histograms.setdefault(name, _Window())
+
+    def add_collector(self, name: str, collector: Collector) -> None:
+        """Register *collector*; its dict lands under key *name* in
+        every :meth:`snapshot` (errors surface as ``{"error": ...}``
+        instead of failing the scrape)."""
+        with self._lock:
+            self._collectors[name] = collector
+
     def as_dict(self) -> Dict[str, object]:
+        with self._lock:
+            counters = sorted(self.counters.items())
+            timings = sorted(self.timings.items())
         return {
-            "counters": dict(sorted(self.counters.items())),
-            "wall_s": {
-                stage: round(seconds, 6)
-                for stage, seconds in sorted(self.timings.items())
-            },
+            "counters": dict(counters),
+            "wall_s": {stage: round(seconds, 6) for stage, seconds in timings},
         }
+
+    def snapshot(self) -> Dict[str, object]:
+        """One JSON-ready view: counters, stage timings, histogram
+        summaries and every collector's dict."""
+        payload = self.as_dict()
+        with self._lock:
+            windows = [
+                (name, list(h.ring), h.count, h.total, h.peak)
+                for name, h in sorted(self._histograms.items())
+            ]
+            collectors = sorted(self._collectors.items())
+        payload["histograms"] = {
+            name: _summary(sorted(ring), count, total, peak)
+            for name, ring, count, total, peak in windows
+        }
+        for name, collector in collectors:
+            try:
+                payload[name] = collector()
+            except Exception as exc:  # scrape must never take the
+                payload[name] = {"error": str(exc)}  # service down
+        return payload
 
     def format(self) -> str:
         """Human-readable two-column table (for the CLI)."""
-        lines: List[str] = []
-        width = max(
-            (len(n) for n in (*self.counters, *self.timings)), default=0
+        with self._lock:
+            counters = sorted(self.counters.items())
+            timings = sorted(self.timings.items())
+        width = max((len(name) for name, _ in counters + timings), default=0)
+        return "\n".join(
+            [f"{name:<{width}}  {count:>14,}" for name, count in counters]
+            + [f"{name:<{width}}  {secs:>13.4f}s" for name, secs in timings]
         )
-        for name in sorted(self.counters):
-            lines.append(f"{name:<{width}}  {self.counters[name]:>14,}")
-        for stage in sorted(self.timings):
-            lines.append(
-                f"{stage:<{width}}  {self.timings[stage]:>13.4f}s"
-            )
-        return "\n".join(lines)
 
 
-#: Active collector stack; empty almost always, which is what keeps the
-#: permanent instrumentation free (one falsy check per call site).
-_ACTIVE: List[PerfCounters] = []
+def _summary(
+    retained: List[float], count: int, total: float, peak: float
+) -> Dict[str, float]:
+    return {
+        "count": count,
+        "sum_s": round(total, 6),
+        "mean_s": round(total / count, 6) if count else 0.0,
+        "p50_s": round(percentile(retained, 0.50), 6),
+        "p95_s": round(percentile(retained, 0.95), 6),
+        "p99_s": round(percentile(retained, 0.99), 6),
+        "max_s": round(peak, 6),
+        "window": len(retained),
+    }
 
 
-def enabled() -> bool:
-    """Whether any collection is active (for guarding costly summaries)."""
-    return bool(_ACTIVE)
+class _Binding(threading.local):
+    metrics: Optional[Metrics] = None
 
 
-def add(name: str, amount: int = 1) -> None:
-    """Increment counter *name* in every active collection (no-op when
-    none is active)."""
-    if not _ACTIVE:
-        return
-    for counters in _ACTIVE:
-        counters.add(name, amount)
+_binding = _Binding()
+
+#: Active :func:`collect` observers.  Replaced whole, never mutated, so
+#: :func:`add` iterates a stable tuple without taking a lock.
+_observers: Tuple[Metrics, ...] = ()
+_observers_lock = threading.Lock()
+
+
+def bind(metrics: Optional[Metrics]) -> Optional[Metrics]:
+    """Send the calling thread's library counters to *metrics* (``None``
+    unbinds) and return the previous binding.  Fits a thread pool's
+    ``initializer``."""
+    previous = _binding.metrics
+    _binding.metrics = metrics
+    return previous
 
 
 @contextmanager
-def collect() -> Iterator[PerfCounters]:
-    """Activate a new :class:`PerfCounters` collection for the block."""
-    counters = PerfCounters()
-    _ACTIVE.append(counters)
+def bound(metrics: Metrics) -> Iterator[Metrics]:
+    """:func:`bind` *metrics* to the calling thread for the block."""
+    previous = bind(metrics)
     try:
-        yield counters
+        yield metrics
     finally:
-        _ACTIVE.remove(counters)
+        bind(previous)
 
 
-def activate(counters: PerfCounters) -> PerfCounters:
-    """Activate *counters* without a ``with`` block (long-lived
-    collections, e.g. a debug server's process-lifetime counters).
-    Pair every call with :func:`deactivate`."""
-    _ACTIVE.append(counters)
-    return counters
+def enabled() -> bool:
+    """Whether an increment here would land anywhere (for guarding
+    costly summaries)."""
+    return bool(_observers) or _binding.metrics is not None
 
 
-def deactivate(counters: PerfCounters) -> None:
-    """Deactivate a collection started by :func:`activate` (no-op when
-    it is not active)."""
+def add(name: str, amount: int = 1) -> None:
+    """Increment counter *name* in the thread's bound :class:`Metrics`
+    and in every active collection (no-op when there are none)."""
+    target = _binding.metrics
+    if target is not None:
+        target.add(name, amount)
+    for observer in _observers:
+        observer.add(name, amount)
+
+
+@contextmanager
+def collect() -> Iterator[Metrics]:
+    """Observe every increment in the process, from any thread, for
+    the block.  Collections nest: each sees all increments made while
+    it is active."""
+    global _observers
+    observer = Metrics()
+    with _observers_lock:
+        _observers = _observers + (observer,)
     try:
-        _ACTIVE.remove(counters)
-    except ValueError:
-        pass
+        yield observer
+    finally:
+        with _observers_lock:
+            _observers = tuple(o for o in _observers if o is not observer)
 
 
 @contextmanager
 def timed(stage: str) -> Iterator[None]:
-    """Time the block and add it to stage *stage* of every active
-    collection.  When none is active the only cost is two clock reads."""
-    if not _ACTIVE:
+    """Time the block and add it to stage *stage* wherever :func:`add`
+    would count.  With nowhere to count, nothing is timed."""
+    target = _binding.metrics
+    if target is None and not _observers:
         yield
         return
     start = time.perf_counter()
@@ -177,35 +292,69 @@ def timed(stage: str) -> Iterator[None]:
         yield
     finally:
         elapsed = time.perf_counter() - start
-        for counters in _ACTIVE:
-            counters.add_time(stage, elapsed)
+        if target is not None:
+            target.add_time(stage, elapsed)
+        for observer in _observers:
+            observer.add_time(stage, elapsed)
 
 
-def record_profile(
-    counters: PerfCounters,
-    name: str,
-    wall_time_s: Optional[float] = None,
-) -> "RunRecord":
-    """Publish *counters* to :mod:`repro.runtime.telemetry`.
+# ----------------------------------------------------------------------
+# run records
 
-    The record lands in the same process-wide ring buffer as
-    orchestration and streaming telemetry, so ``repro cache stats``
-    and telemetry exports pick profiles up with no extra plumbing.
+#: How many recent run records the process keeps.
+HISTORY = 64
+
+
+@dataclass
+class RunRecord:
+    """What one finished run did: how wide, how long, how many tasks
+    failed, and what the artifact cache did for it."""
+
+    name: str
+    jobs: int = 1
+    tasks_dispatched: int = 0
+    tasks_completed: int = 0
+    tasks_failed: int = 0
+    wall_time_s: float = 0.0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    started_at: float = field(default_factory=time.time)
+    extra: Dict[str, object] = field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, object]:
+        payload = asdict(self)
+        payload["wall_time_s"] = round(self.wall_time_s, 6)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True)
+
+
+_RECORDS: Deque[RunRecord] = deque(maxlen=HISTORY)
+
+
+def record_run(record: RunRecord) -> RunRecord:
+    """Append *record* to the process history and return it."""
+    _RECORDS.append(record)
+    return record
+
+
+def recent_runs(
+    limit: Optional[int] = None, name_prefix: Optional[str] = None
+) -> List[RunRecord]:
+    """Most recent records, oldest first.
+
+    *name_prefix* keeps only records whose ``name`` starts with it --
+    e.g. ``name_prefix="stream:"`` isolates per-session streaming
+    records from table-regeneration runs sharing the ring buffer.
     """
-    # imported here so repro.perf stays dependency-free for the hot
-    # paths (core.interleave imports it at module scope)
-    from repro.runtime.telemetry import RunRecord, record_run
+    records = list(_RECORDS)
+    if name_prefix is not None:
+        records = [r for r in records if r.name.startswith(name_prefix)]
+    if limit is not None:
+        records = records[-limit:]
+    return records
 
-    record = RunRecord(
-        name=name,
-        jobs=1,
-        tasks_dispatched=1,
-        tasks_completed=1,
-        wall_time_s=(
-            wall_time_s
-            if wall_time_s is not None
-            else sum(counters.timings.values())
-        ),
-        extra=counters.as_dict(),
-    )
-    return record_run(record)
+
+def clear_runs() -> None:
+    _RECORDS.clear()

@@ -1,4 +1,4 @@
-"""Runtime substrate: artifact caching, parallel fan-out, telemetry.
+"""Runtime substrate: artifact caching, parallel fan-out, run records.
 
 This package is the scaling layer under the experiment drivers, the
 debug campaigns, and the CLI:
@@ -9,9 +9,9 @@ debug campaigns, and the CLI:
   in-memory LRU front (``REPRO_CACHE_DIR`` overrides the location).
 * :mod:`repro.runtime.parallel` -- deterministic process-pool map
   with per-task timeout and graceful serial fallback.
-* :mod:`repro.runtime.orchestrator` -- parallel runs wrapped in
-  telemetry.
-* :mod:`repro.runtime.telemetry` -- JSON-exportable run records.
+* :mod:`repro.runtime.orchestrator` -- parallel runs, each recorded
+  as a :class:`~repro.perf.RunRecord` (re-exported here with the
+  process-wide record ring's accessors).
 * :mod:`repro.runtime.checksum` -- the shared CRC-16/CCITT-FALSE used
   by the compressed-trace frames, the wire protocol, and the session
   store's write-ahead log.
@@ -33,13 +33,7 @@ from repro.runtime.cache import (
 )
 from repro.runtime.orchestrator import TaskFailure, orchestrate
 from repro.runtime.parallel import resolve_jobs, run_tasks
-from repro.runtime.telemetry import (
-    RunRecord,
-    clear_runs,
-    export_runs,
-    recent_runs,
-    record_run,
-)
+from repro.perf import RunRecord, clear_runs, recent_runs, record_run
 
 __all__ = [
     "artifact_key",
@@ -59,7 +53,6 @@ __all__ = [
     "run_tasks",
     "RunRecord",
     "clear_runs",
-    "export_runs",
     "recent_runs",
     "record_run",
 ]

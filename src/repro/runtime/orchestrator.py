@@ -1,10 +1,10 @@
-"""Campaign orchestration: parallel fan-out + telemetry in one call.
+"""Campaign orchestration: parallel fan-out + a run record in one call.
 
 The orchestrator is the piece consumers actually talk to.  It wraps
-:func:`repro.runtime.parallel.run_tasks` with a telemetry envelope:
-wall time, task counts, and the artifact-cache hit/miss delta observed
-during the run, recorded as a :class:`~repro.runtime.telemetry.RunRecord`
-in the process history.
+:func:`repro.runtime.parallel.run_tasks` with a run record: wall time,
+task counts, and the artifact-cache hit/miss delta observed during the
+run, recorded as a :class:`~repro.perf.RunRecord` in the process
+history.
 
     results, record = orchestrate(_worker, items, jobs=4, name="sweep")
 
@@ -20,9 +20,9 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
+from repro.perf import RunRecord, record_run
 from repro.runtime.cache import ArtifactCache, default_cache
 from repro.runtime.parallel import resolve_jobs, run_tasks
-from repro.runtime.telemetry import RunRecord, record_run
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ def orchestrate(
     """Run *fn* over *items* and return ``(results, record)``.
 
     Results are in item order (parallel and serial runs produce the
-    same list).  The record is already appended to the telemetry
-    history when this returns.
+    same list).  The record is already appended to the run history
+    when this returns.
     """
     work = list(items)
     cache = cache if cache is not None else default_cache()

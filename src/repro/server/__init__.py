@@ -15,7 +15,9 @@ The pieces:
   :class:`SessionHost`: request payload in, reply payload out.  It
   routes sessions by consistent hash onto shards and owns ingest,
   localization, idempotent chunk cursors, durability, quarantine and
-  recovery; it knows nothing of sockets.
+  recovery; it knows nothing of sockets.  Each core owns one
+  :class:`repro.perf.Metrics`, served on the ``STATS`` frame and over
+  HTTP.
 * :mod:`repro.server.server` -- the asyncio TCP shell around the core:
   framing, admission control that answers overload with structured
   ``RETRY_LATER`` (never a deadlock, never a dropped accepted
@@ -26,8 +28,6 @@ The pieces:
   replays its history if the server loses the session.  Its
   :class:`InProcessClient` is the in-process shell: the same client,
   calling the core directly.
-* :mod:`repro.server.metrics` -- the pull-based metrics plane served
-  on the ``STATS`` frame and over HTTP.
 * :mod:`repro.server.loadgen` -- the load generator replaying
   simulator-produced trace files against either shell.
 
@@ -45,12 +45,6 @@ from repro.server.client import (
 )
 from repro.server.core import SessionHost
 from repro.server.loadgen import LoadTestReport, run_load_test
-from repro.server.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
 from repro.server.protocol import (
     FrameAssembler,
     WireFrame,
@@ -65,16 +59,12 @@ from repro.server.server import (
 
 __all__ = [
     "CircuitBreaker",
-    "Counter",
     "DebugClient",
     "DebugServer",
     "FeedReply",
     "FrameAssembler",
-    "Gauge",
-    "Histogram",
     "InProcessClient",
     "LoadTestReport",
-    "MetricsRegistry",
     "RetryPolicy",
     "ServeContext",
     "ServerConfig",

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+from repro import perf
 from repro.core.interleave import InterleavedFlow
 from repro.core.message import Message
 from repro.errors import (
@@ -48,9 +49,9 @@ from repro.errors import (
     StoreWriteError,
     StreamError,
 )
+from repro.runtime.cache import default_cache
 from repro.selection import kernels
 from repro.server import protocol
-from repro.server.metrics import MetricsRegistry, runtime_cache_collector
 from repro.store import wal as wal_mod
 from repro.store.inspect import (
     META_FORMAT,
@@ -391,24 +392,38 @@ class SessionHost:
     to plus the operation to run there; a shell runs that operation
     serialized with the shard's other work.  :meth:`call` does both
     under the shard's lock -- the in-process shell.
+
+    The host owns its :attr:`metrics` and binds them to the calling
+    thread (:func:`repro.perf.bound`) while it warms its shards and in
+    :meth:`call`, so library counters such as the localization kernels'
+    land in this host's ``STATS``; the TCP shell binds its lane threads
+    and its :meth:`recover` call the same way.
     """
 
     def __init__(
         self,
         context: ServeContext,
         config: Optional[ServerConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.context = context
         self.config = config if config is not None else ServerConfig()
-        self.registry = (
-            registry if registry is not None else MetricsRegistry()
+        self.metrics = perf.Metrics()
+        self.metrics.declare(
+            (
+                "feeds_total", "records_fed_total", "opens_total",
+                "closes_total", "protocol_errors_total",
+                "compressed_wire_bytes", "compressed_raw_bits",
+                "wal_degraded_total", "snapshot_failures_total",
+                "sessions_quarantined_total",
+            ),
+            histograms=("wal_append_s",),
         )
         self.ring = HashRing(self.config.shards)
-        self.shards = [
-            Shard(i, context, self.config)
-            for i in range(self.config.shards)
-        ]
+        with perf.bound(self.metrics):
+            self.shards = [
+                Shard(i, context, self.config)
+                for i in range(self.config.shards)
+            ]
         # every shard resolved the same compiled tables by content hash;
         # the fingerprint ties durable state to this exact scenario
         self.fingerprint = (
@@ -421,21 +436,9 @@ class SessionHost:
         self.alerts: List[Dict[str, object]] = []
         self._session_counter = 0
         self._id_lock = threading.Lock()
-        reg = self.registry
-        self._c_feeds = reg.counter("feeds_total")
-        self._c_records = reg.counter("records_fed_total")
-        self._c_opens = reg.counter("opens_total")
-        self._c_closes = reg.counter("closes_total")
-        self._c_protocol = reg.counter("protocol_errors_total")
-        self._c_cbytes = reg.counter("compressed_wire_bytes")
-        self._c_craw = reg.counter("compressed_raw_bits")
-        self._c_degraded = reg.counter("wal_degraded_total")
-        self._c_snapfail = reg.counter("snapshot_failures_total")
-        self._c_quarantined = reg.counter("sessions_quarantined_total")
-        self._h_wal = reg.histogram("wal_append_s")
-        reg.add_collector("store", self.store_stats)
-        reg.add_collector("runtime_cache", runtime_cache_collector)
-        reg.add_collector(
+        self.metrics.add_collector("store", self.store_stats)
+        self.metrics.add_collector("runtime_cache", _runtime_cache_stats)
+        self.metrics.add_collector(
             "localize_tables",
             lambda: kernels.default_registry().stats(),
         )
@@ -455,8 +458,8 @@ class SessionHost:
     def compression_ratio(self) -> float:
         """Raw capture bits per compressed wire bit over every ctrace
         feed so far (0 before the first)."""
-        wire_bytes = self._c_cbytes.value
-        raw_bits = self._c_craw.value
+        wire_bytes = self.metrics.get("compressed_wire_bytes")
+        raw_bits = self.metrics.get("compressed_raw_bits")
         return round(raw_bits / (wire_bytes * 8), 4) if wire_bytes else 0.0
 
     def retry_later(self, reason: str) -> Reply:
@@ -468,7 +471,7 @@ class SessionHost:
 
     def protocol_error(self, exc: ProtocolError) -> Reply:
         """The terminal reply to a malformed request or frame."""
-        self._c_protocol.inc()
+        self.metrics.add("protocol_errors_total")
         return protocol.ERROR, protocol.error_payload("protocol", str(exc))
 
     # -- requests ----------------------------------------------------------
@@ -486,7 +489,7 @@ class SessionHost:
             return self.protocol_error(exc)
         except StreamError as exc:
             return self.retry_later(str(exc))
-        with shard.lock:
+        with shard.lock, perf.bound(self.metrics):
             try:
                 return op()
             except Exception as exc:  # noqa: BLE001 - reply, don't die
@@ -501,7 +504,7 @@ class SessionHost:
         Shells answer these before admission control, so metrics and
         health work even when every shard is saturated."""
         if frame_type not in protocol.REQUEST_TYPES:
-            self._c_protocol.inc()
+            self.metrics.add("protocol_errors_total")
             return (
                 protocol.ERROR,
                 protocol.error_payload(
@@ -512,7 +515,7 @@ class SessionHost:
         if frame_type == protocol.STATS:
             return (
                 protocol.OK,
-                protocol.encode_json(self.registry.snapshot()),
+                protocol.encode_json(self.metrics.snapshot()),
             )
         if frame_type == protocol.PING:
             return (
@@ -620,7 +623,7 @@ class SessionHost:
                         sid, shard.manager.session(sid).mode, transport
                     ),
                 )
-        self._c_opens.inc()
+        self.metrics.add("opens_total")
         body: Dict[str, object] = {
             "session_id": sid,
             "shard": shard.index,
@@ -675,8 +678,8 @@ class SessionHost:
         except Exception as exc:  # noqa: BLE001 - poison payload
             return self._poisoned_feed(shard, session, exc)
         session.failures = 0
-        self._c_feeds.inc()
-        self._c_records.inc(outcome.consumed)
+        self.metrics.add("feeds_total")
+        self.metrics.add("records_fed_total", outcome.consumed)
         reply = self._feed_reply(
             session, chunk_index, False, outcome.consumed, record_count
         )
@@ -686,7 +689,7 @@ class SessionHost:
             except StoreWriteError as exc:
                 # a failed checkpoint costs replay time, not data: the
                 # WAL still has everything, so alert and keep serving
-                self._c_snapfail.inc()
+                self.metrics.add("snapshot_failures_total")
                 self._alert(
                     "snapshot-failed",
                     shard=shard.index,
@@ -751,7 +754,7 @@ class SessionHost:
             # session and the next feed would re-strike it
             shard.store.drop_spilled(sid)
             self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_quarantined.inc()
+        self.metrics.add("sessions_quarantined_total")
         self._alert(
             "session-quarantined",
             shard=shard.index,
@@ -812,7 +815,7 @@ class SessionHost:
         if shard.durable:
             shard.store.drop_spilled(sid)
             self._wal_append(shard, lambda: shard.store.log_close(sid))
-        self._c_closes.inc()
+        self.metrics.add("closes_total")
         extra = record.extra
         return (
             protocol.OK,
@@ -869,13 +872,13 @@ class SessionHost:
             if eof:
                 records.extend(session.ingester.close())
             session.wire_bytes += len(data)
-            self._c_cbytes.inc(len(data))
+            self.metrics.add("compressed_wire_bytes", len(data))
             if records:
                 from repro.compress.encoder import uncompressed_capture_bits
 
                 added_bits = uncompressed_capture_bits(records)
                 session.raw_bits += added_bits
-                self._c_craw.inc(added_bits)
+                self.metrics.add("compressed_raw_bits", added_bits)
         else:
             text = session.decoder.decode(data, final=eof)
             records = list(session.parser.feed(text))
@@ -911,7 +914,7 @@ class SessionHost:
         except StoreWriteError as exc:
             self._degrade_shard(shard, exc)
             return None
-        self._h_wal.observe(time.perf_counter() - started)
+        self.metrics.observe("wal_append_s", time.perf_counter() - started)
         return lsn
 
     def _degrade_shard(self, shard: Shard, exc: StoreWriteError) -> None:
@@ -925,7 +928,7 @@ class SessionHost:
         if shard.degraded:
             return
         shard.degraded = True
-        self._c_degraded.inc()
+        self.metrics.add("wal_degraded_total")
         self._alert(
             "wal-degraded",
             shard=shard.index,
@@ -1160,3 +1163,11 @@ class SessionHost:
             "totals": totals,
             "shards": per_shard,
         }
+
+
+def _runtime_cache_stats() -> Dict[str, object]:
+    """Hit/miss counters of the process-wide artifact cache."""
+    cache = default_cache()
+    stats = cache.stats.as_dict()
+    stats["directory"] = str(cache.directory)
+    return stats

@@ -25,6 +25,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ReproError
+from repro.perf import percentile
 from repro.selection.localization import LocalizationResult
 from repro.server.client import (
     DebugClient,
@@ -33,7 +34,6 @@ from repro.server.client import (
     SessionFeed,
 )
 from repro.server.core import SessionHost
-from repro.server.metrics import percentile
 from repro.sim.tracefile import write_trace_file
 
 #: One pre-rendered session workload: ``(session_id, chunk bytes...)``.

@@ -23,10 +23,12 @@ module adds only what a network needs:
   spills) idle sessions on each lane; SIGINT/SIGTERM stop the accept
   loop, flush every queued operation's response, then checkpoint
   (durable) or retire the remaining sessions.
-* **Metrics** -- request and feed latency histograms on the serving
-  path; per-shard, cache, ``repro.perf`` and compression figures
-  sampled at scrape time, over the ``STATS`` frame or the plain-HTTP
-  ``--metrics-port`` listener.
+* **Metrics** -- the core's one :class:`repro.perf.Metrics`: exact
+  request, byte and error counters and request/feed latency
+  histograms written on the serving path, the library's kernel and
+  table counters from this server's own lane threads, and per-shard,
+  health, store and cache figures sampled at scrape time; served over
+  the ``STATS`` frame or the plain-HTTP ``--metrics-port`` listener.
 """
 
 from __future__ import annotations
@@ -43,20 +45,23 @@ from repro import perf
 from repro.errors import ProtocolError, StreamError
 from repro.server import protocol
 from repro.server.core import Reply, ServeContext, ServerConfig, SessionHost
-from repro.server.metrics import MetricsRegistry
 
 
 class _Lane:
     """One shard's serialized work lane: a request queue drained by a
-    single-thread executor (owned by the event loop)."""
+    single-thread executor (owned by the event loop), whose thread
+    counts the library's work into the server's metrics."""
 
     __slots__ = ("queue", "executor")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, metrics: perf.Metrics) -> None:
         #: ``(operation, reply future)`` pairs, drained in order.
         self.queue: asyncio.Queue = asyncio.Queue()
         self.executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"repro-shard{index}"
+            max_workers=1,
+            thread_name_prefix=f"repro-shard{index}",
+            initializer=perf.bind,
+            initargs=(metrics,),
         )
 
 
@@ -79,43 +84,37 @@ class DebugServer:
         self,
         context: ServeContext,
         config: Optional[ServerConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.context = context
         self.config = config if config is not None else ServerConfig()
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.core = SessionHost(context, self.config, self.registry)
+        self.core = SessionHost(context, self.config)
+        self.metrics = self.core.metrics
         self._lanes: List[_Lane] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._metrics_server: Optional[asyncio.AbstractServer] = None
         self._consumers: List[asyncio.Task] = []
+        #: In-flight ``_respond`` tasks, each with the reply future it
+        #: awaits; a task removes itself when done.
+        self._responders: Dict[asyncio.Task, asyncio.Future] = {}
         self._sweeper: Optional[asyncio.Task] = None
         self._connections: set = set()
         self._draining = False
         self._stopped = False
         self._started_at = 0.0
-        self._perf = perf.PerfCounters()
         self.host = self.config.host
         self.port = self.config.port
         self.metrics_port = self.config.metrics_port
-        self._wire_counters()
-
-    # -- metrics wiring ------------------------------------------------
-    def _wire_counters(self) -> None:
-        reg = self.registry
-        self._c_requests = reg.counter("requests_total")
-        self._c_retry = reg.counter("retry_later_total")
-        self._c_errors = reg.counter("error_replies_total")
-        self._c_connections = reg.counter("connections_total")
-        self._c_bytes_in = reg.counter("wire_bytes_in")
-        self._c_bytes_out = reg.counter("wire_bytes_out")
-        self._c_deadline = reg.counter("deadline_exceeded_total")
-        self._h_feed = reg.histogram("feed_latency_s")
-        self._h_request = reg.histogram("request_latency_s")
-        reg.add_collector("server", self._server_stats)
-        reg.add_collector("health", self._health)
-        reg.add_collector("shards", self._shard_stats)
-        reg.add_collector("perf", self._perf.as_dict)
+        self.metrics.declare(
+            (
+                "requests_total", "retry_later_total", "error_replies_total",
+                "connections_total", "wire_bytes_in", "wire_bytes_out",
+                "deadline_exceeded_total",
+            ),
+            histograms=("feed_latency_s", "request_latency_s"),
+        )
+        self.metrics.add_collector("server", self._server_stats)
+        self.metrics.add_collector("health", self._health)
+        self.metrics.add_collector("shards", self._shard_stats)
 
     def _server_stats(self) -> Dict[str, object]:
         return {
@@ -177,9 +176,11 @@ class DebugServer:
             raise StreamError("server already started")
         loop = asyncio.get_running_loop()
         if self.config.data_dir is not None:
-            self.core.recover()
-        self._lanes = [_Lane(shard.index) for shard in self.core.shards]
-        perf.activate(self._perf)
+            with perf.bound(self.metrics):
+                self.core.recover()
+        self._lanes = [
+            _Lane(shard.index, self.metrics) for shard in self.core.shards
+        ]
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -239,6 +240,18 @@ class DebugServer:
             *((self._sweeper,) if self._sweeper else ()),
             return_exceptions=True,
         )
+        # a reply the cancelled consumers never produced would leave
+        # its responder pending forever: cancel those futures, then let
+        # every responder finish (or fail) its send
+        for future in self._responders.values():
+            future.cancel()
+        try:
+            await asyncio.wait_for(
+                asyncio.gather(*self._responders, return_exceptions=True),
+                timeout=30.0,
+            )
+        except asyncio.TimeoutError:  # pragma: no cover - defensive
+            pass
         if not abort:
             loop = asyncio.get_running_loop()
             for shard, lane in zip(self.core.shards, self._lanes):
@@ -252,7 +265,6 @@ class DebugServer:
                 pass
         for lane in self._lanes:
             lane.executor.shutdown(wait=True)
-        perf.deactivate(self._perf)
 
     async def run(
         self,
@@ -315,13 +327,13 @@ class DebugServer:
     ) -> None:
         connection = _Connection(writer, self.config.max_payload_bytes)
         self._connections.add(connection)
-        self._c_connections.inc()
+        self.metrics.add("connections_total")
         try:
             while True:
                 data = await reader.read(65536)
                 if not data:
                     break
-                self._c_bytes_in.inc(len(data))
+                self.metrics.add("wire_bytes_in", len(data))
                 try:
                     frames = connection.assembler.feed(data)
                 except ProtocolError as exc:
@@ -344,7 +356,7 @@ class DebugServer:
         self, connection: _Connection, frame: protocol.WireFrame
     ) -> None:
         """Admission-check one request and hand it to its shard."""
-        self._c_requests.inc()
+        self.metrics.add("requests_total")
         # unknown types and metrics/health requests are served inline:
         # they must work even when every shard queue is saturated
         reply = self.core.inline(frame.frame_type)
@@ -378,9 +390,11 @@ class DebugServer:
         connection.inflight += 1
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         await lane.queue.put((op, future))
-        asyncio.get_running_loop().create_task(
+        responder = asyncio.get_running_loop().create_task(
             self._respond(connection, frame.seq, future, is_feed)
         )
+        self._responders[responder] = future
+        responder.add_done_callback(self._responders.pop)
 
     async def _respond(
         self,
@@ -395,17 +409,17 @@ class DebugServer:
         finally:
             connection.inflight -= 1
         elapsed = time.perf_counter() - started
-        self._h_request.observe(elapsed)
+        self.metrics.observe("request_latency_s", elapsed)
         if is_feed:
-            self._h_feed.observe(elapsed)
+            self.metrics.observe("feed_latency_s", elapsed)
         if reply[0] == protocol.ERROR:
-            self._c_errors.inc()
+            self.metrics.add("error_replies_total")
         await self._send(connection, seq, reply)
 
     async def _retry_later(
         self, connection: _Connection, seq: int, reason: str
     ) -> None:
-        self._c_retry.inc()
+        self.metrics.add("retry_later_total")
         await self._send(connection, seq, self.core.retry_later(reason))
 
     async def _send(
@@ -415,7 +429,7 @@ class DebugServer:
             reply[0], seq, reply[1],
             max_payload=self.config.max_payload_bytes,
         )
-        self._c_bytes_out.inc(len(data))
+        self.metrics.add("wire_bytes_out", len(data))
         async with connection.write_lock:
             try:
                 connection.writer.write(data)
@@ -437,7 +451,7 @@ class DebugServer:
 
         def guarded() -> Reply:
             if time.monotonic() >= expires_at:
-                self._c_deadline.inc()
+                self.metrics.add("deadline_exceeded_total")
                 return self.core.retry_later("deadline-exceeded")
             return op()
 
@@ -453,7 +467,7 @@ class DebugServer:
             writer.close()
             return
         body = json.dumps(
-            self.registry.snapshot(), indent=2, sort_keys=True
+            self.metrics.snapshot(), indent=2, sort_keys=True
         ).encode("utf-8")
         head = (
             b"HTTP/1.1 200 OK\r\n"
@@ -484,9 +498,9 @@ class ServerThread:
         self,
         context: ServeContext,
         config: Optional[ServerConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
     ) -> None:
-        self.server = DebugServer(context, config=config, registry=registry)
+        self.server = DebugServer(context, config=config)
+        self.metrics = self.server.metrics
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
         self._ready = threading.Event()

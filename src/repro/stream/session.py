@@ -16,9 +16,8 @@ All sessions share one :class:`~repro.selection.localization.
 PathLocalizer` per scenario (the adjacency split, topological index,
 and path-count tables are read-only), so per-session cost is just the
 carried frontier.  Every session's lifecycle ends in a
-:class:`~repro.runtime.telemetry.RunRecord` (name ``stream:<id>``)
-through the process-wide telemetry ring, same as the batch
-orchestrators.
+:class:`~repro.perf.RunRecord` (name ``stream:<id>``) in the
+process-wide run-record ring, same as the batch orchestrators.
 
 Locking discipline (the multi-shard service sweeps idle sessions from
 a different thread than the one feeding them):
@@ -50,7 +49,7 @@ from repro.errors import (
     SessionTableFullError,
     StreamError,
 )
-from repro.runtime.telemetry import RunRecord, record_run
+from repro.perf import RunRecord, record_run
 from repro.selection.localization import LocalizationResult, PathLocalizer
 from repro.stream.incremental import IncrementalLocalizer, Observable
 
@@ -351,7 +350,7 @@ class SessionManager:
             return session.localizer.snapshot()
 
     def close(self, session_id: str) -> RunRecord:
-        """Close a session, emitting its telemetry record."""
+        """Close a session, emitting its run record."""
         with self._lock:
             session = self._get(session_id)
         with session.lock:

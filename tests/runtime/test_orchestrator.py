@@ -1,21 +1,14 @@
-"""Tests for orchestration telemetry and failure collection."""
+"""Tests for orchestration run records and failure collection."""
 
 from __future__ import annotations
 
-import io
 import json
 
 import pytest
 
+from repro.runtime import RunRecord, clear_runs, recent_runs, record_run
 from repro.runtime.cache import ArtifactCache
 from repro.runtime.orchestrator import TaskFailure, orchestrate
-from repro.runtime.telemetry import (
-    RunRecord,
-    clear_runs,
-    export_runs,
-    recent_runs,
-    record_run,
-)
 
 
 def _double(x: int) -> int:
@@ -95,15 +88,6 @@ class TestTelemetry:
         assert payload["name"] == "r"
         assert payload["jobs"] == 2
         assert payload["tasks_dispatched"] == 5
-
-    def test_export_runs(self):
-        record_run(RunRecord(name="a"))
-        record_run(RunRecord(name="b"))
-        stream = io.StringIO()
-        count = export_runs(stream)
-        assert count == 2
-        exported = json.loads(stream.getvalue())
-        assert [r["name"] for r in exported] == ["a", "b"]
 
     def test_recent_runs_limit(self):
         for i in range(5):

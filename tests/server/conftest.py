@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.interleave import interleave_flows
+from repro.perf import Metrics
 from repro.server import (
     DebugClient,
-    MetricsRegistry,
     ServeContext,
     ServerConfig,
     ServerThread,
@@ -39,7 +39,7 @@ class RunningServer:
     thread: ServerThread
     host: str
     port: int
-    registry: MetricsRegistry
+    metrics: Metrics
     context: ServeContext
 
     @property
@@ -50,10 +50,9 @@ class RunningServer:
 def start_server(
     context: ServeContext, config: ServerConfig
 ) -> RunningServer:
-    registry = MetricsRegistry()
-    thread = ServerThread(context, config, registry)
+    thread = ServerThread(context, config)
     host, port = thread.start()
-    return RunningServer(thread, host, port, registry, context)
+    return RunningServer(thread, host, port, thread.metrics, context)
 
 
 @pytest.fixture

@@ -4,8 +4,13 @@ malformed frames and mid-chunk disconnects, metrics, and drain."""
 
 from __future__ import annotations
 
+import asyncio
+import gc
 import json
+import logging
 import socket
+import threading
+import time
 import urllib.request
 
 import pytest
@@ -108,13 +113,19 @@ def test_ping_and_stats(running, client):
     assert pong["version"] == protocol.PROTOCOL_VERSION
     assert pong["scenario"] == "cc-test"
     sid = client.open_session("stats")
-    client.feed(sid, 0, b"# repro-trace v1 scenario=\"x\" seed=0\n")
+    chunks = render_session_chunks(running.context, seed=0, chunk_records=4)
+    client.feed(sid, 0, chunks[0])
     stats = client.stats()
-    assert stats["counters"]["opens_total"] >= 1
-    assert stats["counters"]["feeds_total"] >= 1
+    counters = stats["counters"]
+    assert counters["opens_total"] >= 1
+    assert counters["feeds_total"] >= 1
     assert stats["server"]["open_sessions"] >= 1
     assert "shards" in stats and "runtime_cache" in stats
-    assert "perf" in stats
+    # the lane thread counts the localization engine's work here
+    assert (
+        counters.get("localize_kernel_batches", 0)
+        + counters.get("localize_dp_steps", 0)
+    ) > 0
     client.close_session(sid)
 
 
@@ -144,7 +155,7 @@ def test_session_table_full_returns_retry_later(context):
                     second.open_session("blocked")
                 assert second.retries == 2
             assert (
-                handle.registry.counter("retry_later_total").value >= 3
+                handle.metrics.get("retry_later_total") >= 3
             )
             # capacity freed -> the same open converges
             holder.close_session("occupier")
@@ -300,6 +311,76 @@ def test_graceful_drain_with_open_sessions(context):
     # though a session is still open
     handle.thread.stop(drain=True)
     assert handle.server._draining
+
+
+def queue_feed_behind_busy_lane(handle, context):
+    """Occupy the one lane thread of *handle*'s server until the
+    returned event is set, then send a FEED that waits behind it;
+    returns ``(socket, event)`` once the FEED's responder exists."""
+    server = handle.server
+    with DebugClient(handle.host, handle.port) as client:
+        sid = client.open_session("queued")
+    release = threading.Event()
+    server._lanes[0].executor.submit(release.wait)
+    chunk = render_session_chunks(context, seed=0, chunk_records=4)[0]
+    sock = socket.create_connection((handle.host, handle.port))
+    sock.sendall(protocol.encode_frame(
+        protocol.FEED_CHUNK, 1, protocol.encode_feed_payload(sid, 0, chunk)
+    ))
+    deadline = time.monotonic() + 10.0
+    while not server._responders:
+        assert time.monotonic() < deadline, "FEED never queued"
+        time.sleep(0.01)
+    return sock, release
+
+
+def stop_freeing_lane(handle, release, **how):
+    """``ServerThread.stop(**how)``; stop joins the lane thread, so the
+    lane is freed only once stop is under way."""
+    freer = threading.Timer(0.5, release.set)
+    freer.start()
+    handle.thread.stop(**how)
+    freer.join()
+
+
+def test_abort_leaves_no_responder_pending(context, caplog):
+    """A FEED queued behind a busy lane gets no reply when the server
+    is aborted; its responder must still finish before the loop
+    closes, not be destroyed while pending."""
+    gc.collect()  # only this test's leftovers may reach the log below
+    handle = start_server(context, ServerConfig(shards=1))
+    server = handle.server
+    sock, release = queue_feed_behind_busy_lane(handle, context)
+    with sock:
+        stop_freeing_lane(handle, release, abort=True)
+    pending = []
+    for task in gc.get_objects():
+        if isinstance(task, asyncio.Task) and not task.done():
+            coro_frame = getattr(task.get_coro(), "cr_frame", None)
+            if coro_frame and coro_frame.f_locals.get("self") is server:
+                pending.append(task)
+    assert not pending
+    del handle, server, pending
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        gc.collect()  # destroys whatever the closed loop left behind
+    assert "Task was destroyed" not in caplog.text
+
+
+def test_drain_answers_feed_queued_behind_busy_lane(context):
+    handle = start_server(context, ServerConfig(shards=1))
+    sock, release = queue_feed_behind_busy_lane(handle, context)
+    with sock:
+        stop_freeing_lane(handle, release, drain=True)
+        sock.settimeout(10.0)
+        assembler = protocol.FrameAssembler()
+        frames = []
+        while not frames:
+            data = sock.recv(65536)
+            assert data, "connection closed before the FEED's reply"
+            frames = assembler.feed(data)
+    assert frames[0].frame_type == protocol.OK
+    assert frames[0].seq == 1
+    assert not handle.server._responders
 
 
 def test_sessions_idle_evicted(context):

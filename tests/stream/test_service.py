@@ -7,7 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ReproError, StreamError
-from repro.runtime.telemetry import clear_runs, recent_runs
+from repro.perf import clear_runs, percentile, recent_runs
 from repro.selection.localization import PathLocalizer
 from repro.server import (
     InProcessClient,
@@ -18,7 +18,6 @@ from repro.server import (
     run_load_test,
 )
 from repro.server.loadgen import render_session_chunks
-from repro.server.metrics import percentile
 from repro.stream.service import chunked, synthetic_session_records
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.message import IndexedMessage
 from repro.errors import SessionTableFullError, StreamError
-from repro.runtime.telemetry import clear_runs, recent_runs
+from repro.perf import clear_runs, recent_runs
 from repro.sim.engine import TransactionSimulator
 from repro.stream.session import (
     ACTIVE,

@@ -301,7 +301,7 @@ class TestProfileCommand:
             assert key in payload["localize_tables"]
 
     def test_records_telemetry(self, capsys):
-        from repro.runtime.telemetry import recent_runs
+        from repro.perf import recent_runs
 
         assert main(["profile", "1", "--instances", "1"]) == 0
         capsys.readouterr()
